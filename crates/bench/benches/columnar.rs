@@ -201,6 +201,29 @@ fn bench_operators(c: &mut Criterion) {
             b.iter(|| columnar::natural_join(black_box(left), black_box(right)).unwrap())
         },
     );
+    // The build-side choice: the same 250 × 5 000 join in both argument
+    // orders (the hash table goes on the 250-row side either way), next
+    // to the bulk decode that ends a relational pipeline.
+    let thin = Object::set((0..250i64).map(|i| {
+        Object::tuple([
+            (Attr::new("k"), Object::int(i * 20)),
+            (Attr::new("w"), Object::int(i % 7)),
+        ])
+    }));
+    let thin_set = thin.as_set().unwrap();
+    assert_eq!(
+        columnar::natural_join(thin_set, rs).unwrap().node_id(),
+        columnar::natural_join(rs, thin_set).unwrap().node_id(),
+    );
+    group.bench_function(BenchmarkId::new("join", "250x5000"), |b| {
+        b.iter(|| columnar::natural_join(black_box(thin_set), black_box(rs)).unwrap())
+    });
+    group.bench_function(BenchmarkId::new("join", "5000x250"), |b| {
+        b.iter(|| columnar::natural_join(black_box(rs), black_box(thin_set)).unwrap())
+    });
+    group.bench_function(BenchmarkId::new("decode_relation", ROWS), |b| {
+        b.iter(|| decode_relation(black_box(&r)).unwrap())
+    });
     group.finish();
 }
 

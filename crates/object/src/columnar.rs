@@ -23,7 +23,8 @@
 //!
 //! **Canonical at the boundary.** The arena is a read-only cache; every
 //! result produced from columns re-enters the store through the
-//! canonicalizing constructors ([`rows_to_object`], [`gather`]), so
+//! canonicalizing constructors ([`rows_to_object`], [`gather`],
+//! [`merge_union`]), so
 //! `NodeId`s — and therefore fixpoints, traces, and snapshots — are
 //! bit-identical to the plain interned path. Vectorized operators live
 //! in `co-relational`; the engine's set indexes build from columns when
@@ -315,10 +316,72 @@ where
 /// Builds the canonical set of the elements of `set` at `positions` —
 /// the selection boundary: row positions found by a columnar scan turn
 /// back into interned elements by reference (an `Arc` bump per row, no
-/// re-interning).
+/// re-interning). Strictly ascending positions (what a scan yields) name
+/// a subsequence of a canonical set, which is canonical as it stands and
+/// skips the sort/dedup/reduce pass; any other order goes through it.
 pub fn gather(set: &Set, positions: impl IntoIterator<Item = usize>) -> Object {
     let elements = set.elements();
-    Object::set_from_vec(positions.into_iter().map(|i| elements[i].clone()).collect())
+    let mut ascending = true;
+    let mut last = None;
+    let picked: Vec<Object> = positions
+        .into_iter()
+        .map(|i| {
+            ascending &= last < Some(i);
+            last = Some(i);
+            elements[i].clone()
+        })
+        .collect();
+    if ascending {
+        Object::set_from_canonical(picked)
+    } else {
+        Object::set_from_vec(picked)
+    }
+}
+
+/// The union of two sets as an ordered merge of their canonical element
+/// lists — the boundary for same-schema `∪`. The merge walks the shorter
+/// list and gallops through the longer, so it costs comparisons
+/// proportional to the shorter side (plus an `Arc` bump per output row).
+/// When the merged run is a flat relation it is canonical by
+/// construction (distinct flat tuples over one schema never dominate one
+/// another) and is interned as it stands; any other pair of sets takes
+/// the general reduction, so the result is the canonical union either way.
+pub fn merge_union(l: &Set, r: &Set) -> Object {
+    let (short, mut long) = if l.len() <= r.len() {
+        (l.elements(), r.elements())
+    } else {
+        (r.elements(), l.elements())
+    };
+    let mut merged: Vec<Object> = Vec::with_capacity(short.len() + long.len());
+    for x in short {
+        let below = gallop(long, x);
+        merged.extend_from_slice(&long[..below]);
+        long = &long[below..];
+        if long.first() == Some(x) {
+            long = &long[1..];
+        }
+        merged.push(x.clone());
+    }
+    merged.extend_from_slice(long);
+    if crate::value::is_flat_relation(&merged) {
+        Object::set_from_canonical(merged)
+    } else {
+        Object::set_from_vec(merged)
+    }
+}
+
+/// How many leading elements of the ascending `run` are `< x`:
+/// exponential search for the bracket, binary search inside it —
+/// O(log answer) comparisons.
+fn gallop(run: &[Object], x: &Object) -> usize {
+    let mut hi = 1;
+    while hi <= run.len() && run[hi - 1] < *x {
+        hi *= 2;
+    }
+    // Everything before `hi / 2` compared `< x`; `run[hi - 1]`, when it
+    // exists, did not.
+    let lo = hi / 2;
+    lo + run[lo..(hi - 1).min(run.len())].partition_point(|e| e < x)
 }
 
 #[cfg(test)]
@@ -461,6 +524,76 @@ mod tests {
         );
         assert_eq!(columnar.node_id(), interned.node_id());
         assert_eq!(columnar, interned);
+    }
+
+    #[test]
+    fn gather_canonicalizes_any_position_order() {
+        let o = rel(30, 4);
+        let set = o.as_set().unwrap();
+        let pick = |ps: &[usize]| Object::set(ps.iter().map(|&i| set.elements()[i].clone()));
+        // Ascending (the by-construction path), descending, shuffled with
+        // repeats, empty: all the same canonical nodes `Object::set` builds.
+        for ps in [
+            &[2usize, 5, 11, 29][..],
+            &[29, 11, 5, 2],
+            &[7, 3, 7, 19, 3, 0],
+            &[4, 4],
+            &[],
+        ] {
+            let got = gather(set, ps.iter().copied());
+            assert_eq!(got.node_id(), pick(ps).node_id(), "{ps:?}");
+        }
+        // Every position, in order, is the set itself.
+        assert_eq!(gather(set, 0..set.len()).node_id(), o.node_id());
+    }
+
+    #[test]
+    fn gallop_counts_the_elements_below() {
+        let run: Vec<Object> = (0..40).map(|i| Object::int(2 * i)).collect();
+        for len in 0..run.len() {
+            for x in -1..=2 * len as i64 + 1 {
+                let expected = run[..len].iter().filter(|e| **e < Object::int(x)).count();
+                assert_eq!(
+                    gallop(&run[..len], &Object::int(x)),
+                    expected,
+                    "len {len}, x {x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn merge_union_is_the_canonical_union() {
+        let union_of = |l: &Object, r: &Object| {
+            let (ls, rs) = (l.as_set().unwrap(), r.as_set().unwrap());
+            let expected = Object::set(ls.iter().chain(rs.iter()).cloned());
+            assert_eq!(merge_union(ls, rs).node_id(), expected.node_id());
+            assert_eq!(merge_union(rs, ls).node_id(), expected.node_id());
+            expected
+        };
+        // Flat relations over one schema: interleaved, overlapping, equal,
+        // and against the empty set.
+        let evens = Object::set((0..40).map(|i| obj!([k: (2 * i), v: 0])));
+        let odds = Object::set((0..25).map(|i| obj!([k: (2 * i + 1), v: 0])));
+        let low = Object::set((0..30).map(|i| obj!([k: (i), v: 0])));
+        assert_eq!(union_of(&evens, &odds).as_set().unwrap().len(), 65);
+        assert_eq!(union_of(&evens, &low).as_set().unwrap().len(), 55);
+        assert_eq!(union_of(&low, &low).node_id(), low.node_id());
+        assert_eq!(
+            union_of(&low, &Object::empty_set()).node_id(),
+            low.node_id()
+        );
+        assert!(union_of(&Object::empty_set(), &Object::empty_set())
+            .as_set()
+            .unwrap()
+            .is_empty());
+        // Not one flat relation: the merge must still reduce. A row of one
+        // side dominates a row of the other; schemas differ; sets nest.
+        let reduced = union_of(&obj!({[a: 1], [a: 2, b: 2]}), &obj!({[a: 1, b: 5], [a: 3]}));
+        assert_eq!(reduced, obj!({[a: 1, b: 5], [a: 2, b: 2], [a: 3]}));
+        union_of(&obj!({[a: 1], [a: 2]}), &obj!({[b: 1], [b: 2]}));
+        union_of(&obj!({{1}, {2, 3}}), &obj!({{1, 2}, 4}));
+        union_of(&obj!({1, 2, 3}), &obj!({2, [a: 1]}));
     }
 
     #[test]

@@ -349,6 +349,27 @@ impl Object {
         Object::Set(Set(store::intern_set(v)))
     }
 
+    /// Builds a set from elements that are **already canonical**: free of
+    /// ⊥/⊤, strictly ascending in the canonical order (so sorted and
+    /// deduplicated), and reduced (no element a sub-object of another) —
+    /// exactly what [`reduce_elements`] would leave unchanged. Two shapes
+    /// are canonical by construction: a subsequence of a canonical set's
+    /// elements, and the ordered merge of two flat relations over one
+    /// schema (same-schema flat tuples are pairwise incomparable). Skips
+    /// the sort/dedup/reduce pass; the precondition is checked in debug
+    /// builds only.
+    pub(crate) fn set_from_canonical(v: Vec<Object>) -> Object {
+        debug_assert!(
+            {
+                let mut reduced = v.clone();
+                reduce_elements(&mut reduced);
+                reduced == v && !v.iter().any(|e| matches!(e, Object::Bottom | Object::Top))
+            },
+            "set_from_canonical: elements are not canonical (sorted, distinct, reduced, ⊥/⊤-free)"
+        );
+        Object::Set(Set(store::intern_set(v)))
+    }
+
     /// Internal: build a tuple from entries already known to be sorted,
     /// distinct, and free of ⊥; still propagates ⊤.
     pub(crate) fn tuple_from_sorted(v: Vec<(Attr, Object)>) -> Object {
@@ -395,14 +416,20 @@ impl Object {
 /// attribute set can never dominate each other. Grouping by attribute
 /// fingerprint therefore reduces the ubiquitous uniform-relation case to
 /// sort + dedup, with the quadratic pass reserved for genuinely nested or
-/// heterogeneous sets (benchmark F6 tracks both).
+/// heterogeneous sets (benchmark F6 tracks both). The all-one-group case —
+/// a flat relation — is recognized up front without building the groups.
 pub(crate) fn reduce_elements(v: &mut Vec<Object>) {
     v.sort();
     v.dedup();
-    if v.len() <= 1 {
+    if v.len() <= 1 || is_flat_relation(v) {
         return;
     }
+    remove_dominated(v);
+}
 
+/// The grouped domination pass of [`reduce_elements`], over sorted,
+/// deduplicated elements.
+fn remove_dominated(v: &mut Vec<Object>) {
     let mut set_idx: Vec<usize> = Vec::new();
     // Tuple groups keyed by exact attribute list; the flag records whether
     // every member has only atomic values.
@@ -508,6 +535,21 @@ pub(crate) fn reduce_elements(v: &mut Vec<Object>) {
             !d
         });
     }
+}
+
+/// True when every element is a flat tuple over the first element's
+/// attribute list (allocation-free: canonical tuples keep entries in one
+/// global attribute order, so equal schemas align positionally). Distinct
+/// such tuples are pairwise incomparable, so a sorted, deduplicated run
+/// of them is already reduced.
+pub(crate) fn is_flat_relation(v: &[Object]) -> bool {
+    let Some(Object::Tuple(first)) = v.first() else {
+        return false;
+    };
+    v.iter().all(|e| match e {
+        Object::Tuple(t) => t.meta().flat && t.len() == first.len() && t.attrs().eq(first.attrs()),
+        _ => false,
+    })
 }
 
 /// True when `a`'s attributes are a subset of `b`'s (both sorted by id).
@@ -778,6 +820,91 @@ mod tests {
     fn set_reduction_keeps_incomparable_elements() {
         let s = obj!({ [a: 1], [b: 2], [a: 2] });
         assert_eq!(s.as_set().unwrap().len(), 3);
+    }
+
+    mod reduce_early_exit {
+        use super::*;
+        use proptest::prelude::*;
+
+        const ATTRS: [&str; 3] = ["p", "q", "r"];
+
+        fn small_int() -> impl Strategy<Value = Object> {
+            (0i64..4).prop_map(Object::int)
+        }
+
+        /// A flat tuple over exactly `attrs`.
+        fn flat_tuple(attrs: Vec<&'static str>) -> impl Strategy<Value = Object> {
+            proptest::collection::vec(small_int(), attrs.len()..attrs.len() + 1)
+                .prop_map(move |vals| Object::tuple(attrs.iter().copied().zip(vals)))
+        }
+
+        /// Anything a set may hold: atoms, flat tuples over any subset of
+        /// the attribute pool (so some dominate others), tuples with a
+        /// nested set value, and sets of atoms.
+        fn element() -> impl Strategy<Value = Object> {
+            prop_oneof![
+                small_int(),
+                flat_tuple(ATTRS.to_vec()),
+                proptest::sample::subsequence(ATTRS.to_vec(), 0..=3).prop_flat_map(flat_tuple),
+                (small_int(), proptest::collection::vec(small_int(), 0..3))
+                    .prop_map(|(p, qs)| { Object::tuple([("p", p), ("q", Object::set(qs))]) }),
+                proptest::collection::vec(small_int(), 0..3).prop_map(Object::set),
+            ]
+        }
+
+        /// What `reduce_elements` did before the flat-relation early exit.
+        fn reduce_without_early_exit(v: &mut Vec<Object>) {
+            v.sort();
+            v.dedup();
+            if v.len() > 1 {
+                remove_dominated(v);
+            }
+        }
+
+        fn assert_same_reduction(v: Vec<Object>) {
+            let (mut fast, mut full) = (v.clone(), v);
+            reduce_elements(&mut fast);
+            reduce_without_early_exit(&mut full);
+            assert_eq!(fast, full);
+        }
+
+        proptest! {
+            #[test]
+            fn agrees_on_uniform_flat_inputs(
+                v in proptest::collection::vec(flat_tuple(ATTRS.to_vec()), 0..40),
+            ) {
+                prop_assert!(v.is_empty() || is_flat_relation(&v));
+                assert_same_reduction(v);
+            }
+
+            #[test]
+            fn agrees_on_mixed_schema_nested_and_tuple_plus_set_inputs(
+                v in proptest::collection::vec(element(), 0..24),
+            ) {
+                assert_same_reduction(v);
+            }
+        }
+
+        #[test]
+        fn only_flat_relations_take_the_exit() {
+            // One attribute list, atomic values only: the exit.
+            assert!(is_flat_relation(&[obj!([p: 1, q: 2]), obj!([p: 1, q: 3])]));
+            assert!(is_flat_relation(&[Object::empty_tuple()]));
+            // Everything the grouped pass exists for: not the exit.
+            assert!(!is_flat_relation(&[]));
+            assert!(!is_flat_relation(&[obj!([p: 1]), obj!([p: 1, q: 3])]));
+            assert!(!is_flat_relation(&[obj!([p: 1]), obj!([q: 1])]));
+            assert!(!is_flat_relation(&[
+                obj!([p: 1, q: {1}]),
+                obj!([p: 1, q: {1, 2}])
+            ]));
+            assert!(!is_flat_relation(&[obj!([p: 1]), obj!({ 1 })]));
+            assert!(!is_flat_relation(&[obj!(1), obj!(2)]));
+            // A dominated row next to flat ones is still removed.
+            let mut v = vec![obj!([p: 1, q: 2]), obj!([p: 1]), obj!([p: 2, q: 2])];
+            reduce_elements(&mut v);
+            assert_eq!(v, vec![obj!([p: 1, q: 2]), obj!([p: 2, q: 2])]);
+        }
     }
 
     #[test]

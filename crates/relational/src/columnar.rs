@@ -8,10 +8,20 @@
 //! by `co_object::columnar`) and only touch the store once, at the
 //! boundary: results re-enter through the canonicalizing constructors
 //! ([`rows_to_object`](co_object::columnar::rows_to_object) /
-//! [`gather`](co_object::columnar::gather)), so the produced objects are
-//! **bit-identical** — same `NodeId`s — to what the interned path builds.
-//! The differential proptests in `tests/columnar_differential.rs` pin
-//! that equivalence down operator by operator.
+//! [`gather`](co_object::columnar::gather) /
+//! [`merge_union`](co_object::columnar::merge_union)), so the produced
+//! objects are **bit-identical** — same `NodeId`s — to what the interned
+//! path builds. The differential proptests in
+//! `tests/columnar_differential.rs` pin that equivalence down operator by
+//! operator.
+//!
+//! Each kernel does work proportional to its smaller input where the
+//! algebra allows it, and hands the boundary what it already knows: a
+//! selection gathers ascending positions (canonical as it stands), the
+//! join hashes the smaller side and gathers instead of re-interning when
+//! one schema contains the other, a union is an ordered merge of two
+//! canonical element lists. Only projection and the general join build
+//! new rows, and those go through the set constructor's sort + dedup.
 //!
 //! Dispatch goes through a dense kernel table indexed by [`ColOp`] —
 //! one function pointer per operator, no matching in the hot path.
@@ -25,7 +35,9 @@
 use crate::{RelSchema, RelationalError};
 use co_object::columnar::{self as col, ColumnarRel};
 use co_object::{Atom, Attr, Object, Set};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::{FxHashMap, FxHasher};
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// The vectorized operators, doubling as indices into the kernel table.
@@ -156,82 +168,155 @@ fn k_project(args: &KernelArgs<'_>) -> Result<Object, RelationalError> {
     // semantics.
     picked.sort_by_key(|(a, _)| *a);
     let schema: Vec<Attr> = picked.iter().map(|(a, _)| *a).collect();
-    // Dedup before re-entering the store so only distinct rows intern.
-    let mut rows: FxHashSet<Vec<Atom>> = FxHashSet::default();
-    for r in 0..cols.rows() {
-        rows.insert(
-            picked
-                .iter()
-                .map(|&(_, c)| cols.column(c)[r].clone())
-                .collect(),
-        );
-    }
-    Ok(col::rows_to_object(&schema, rows))
+    let cell = |r: usize, c: usize| &cols.column(c)[r];
+    // Pre-dedup by row hash, allocation-free: a row whose hash was seen
+    // is dropped when it equals the first row with that hash. (A true
+    // collision is kept — harmless, the set constructor dedups for real.)
+    // Projections that collapse thousands of rows into a few classes then
+    // intern only the classes.
+    let mut first_with_hash: FxHashMap<u64, usize> = FxHashMap::default();
+    let distinct = (0..cols.rows()).filter(|&r| {
+        let mut h = FxHasher::default();
+        for &(_, c) in &picked {
+            cell(r, c).hash(&mut h);
+        }
+        match first_with_hash.entry(h.finish()) {
+            Entry::Vacant(e) => {
+                e.insert(r);
+                true
+            }
+            Entry::Occupied(e) => picked.iter().any(|&(_, c)| cell(r, c) != cell(*e.get(), c)),
+        }
+    });
+    let picked = &picked;
+    Ok(col::rows_to_object(
+        &schema,
+        distinct.map(|r| picked.iter().map(move |&(_, c)| cell(r, c).clone())),
+    ))
 }
 
 fn k_natural_join(args: &KernelArgs<'_>) -> Result<Object, RelationalError> {
-    let (_, lc) = args.left;
-    let (_, rc) = args.right.expect("join kernel takes a right relation");
-    let common: Vec<(usize, usize)> = lc
+    let left = args.left;
+    let right = args.right.expect("join kernel takes a right relation");
+    // Hash the smaller relation, stream the larger one through it: the
+    // table (and its build cost) is sized by the smaller input whichever
+    // argument it arrives as. The result is a set, so which side builds
+    // changes nothing but the work.
+    let ((build_set, build), (probe_set, probe)) = if left.1.rows() <= right.1.rows() {
+        (left, right)
+    } else {
+        (right, left)
+    };
+    // Per common attribute, the (build column, probe column) pair.
+    let on: Vec<(&[Atom], &[Atom])> = build
         .schema()
         .iter()
         .enumerate()
-        .filter_map(|(i, a)| rc.column_of(*a).map(|j| (i, j)))
-        .collect();
-
-    let schema = merge_schemas(lc.schema(), rc.schema());
-    // Each output attribute reads from the left arena when present there
-    // (join rows agree on common attributes), else from the right.
-    let plan: Vec<(bool, usize)> = schema
-        .iter()
-        .map(|&a| match lc.column_of(a) {
-            Some(c) => (true, c),
-            None => (false, rc.column_of(a).expect("attr from one side")),
+        .filter_map(|(i, a)| {
+            probe
+                .column_of(*a)
+                .map(|j| (build.column(i), probe.column(j)))
         })
         .collect();
-    let emit = |li: usize, ri: usize| -> Vec<Atom> {
-        plan.iter()
-            .map(|&(from_left, c)| {
-                if from_left {
-                    lc.column(c)[li].clone()
-                } else {
-                    rc.column(c)[ri].clone()
-                }
-            })
-            .collect()
-    };
 
-    let mut rows: Vec<Vec<Atom>> = Vec::new();
-    if common.is_empty() {
+    // Matching (build row, probe row) pairs.
+    let pairs = if on.is_empty() {
         // Disjoint schemas: cartesian product.
-        for li in 0..lc.rows() {
-            for ri in 0..rc.rows() {
-                rows.push(emit(li, ri));
-            }
-        }
+        (0..build.rows())
+            .flat_map(|b| (0..probe.rows()).map(move |p| (b, p)))
+            .collect()
     } else {
-        // Hash join: build on the right, probe with the left.
-        let mut table: FxHashMap<Vec<Atom>, Vec<usize>> = FxHashMap::default();
-        for ri in 0..rc.rows() {
-            let key: Vec<Atom> = common
-                .iter()
-                .map(|&(_, j)| rc.column(j)[ri].clone())
-                .collect();
-            table.entry(key).or_default().push(ri);
-        }
-        for li in 0..lc.rows() {
-            let key: Vec<Atom> = common
-                .iter()
-                .map(|&(i, _)| lc.column(i)[li].clone())
-                .collect();
-            if let Some(matches) = table.get(&key) {
-                for &ri in matches {
-                    rows.push(emit(li, ri));
-                }
+        hash_join(&on, build.rows(), probe.rows())
+    };
+    // A side whose schema contains the other's joins as a semijoin: every
+    // result row *is* one of that side's rows, so the matches are gathered
+    // from its interned elements by reference (ascending positions when it
+    // is the probe side — each probe row matches at most one build row).
+    if on.len() == build.arity() {
+        return Ok(col::gather(probe_set, pairs.iter().map(|&(_, p)| p)));
+    }
+    if on.len() == probe.arity() {
+        return Ok(col::gather(build_set, pairs.iter().map(|&(b, _)| b)));
+    }
+
+    let schema = merge_schemas(build.schema(), probe.schema());
+    // Each output attribute reads from the build arena when present there
+    // (join rows agree on common attributes), else from the probe arena.
+    let plan: Vec<(bool, &[Atom])> = schema
+        .iter()
+        .map(|&a| match build.column_of(a) {
+            Some(c) => (true, build.column(c)),
+            None => {
+                let c = probe.column_of(a).expect("attr from one side");
+                (false, probe.column(c))
             }
+        })
+        .collect();
+    // Rows of a natural join are distinct by construction (each carries
+    // every attribute of both of its distinct source rows), so they go to
+    // the boundary lazily, one atom iterator per pair, with no dedup pass
+    // and no materialized row vectors.
+    let plan = &plan;
+    Ok(col::rows_to_object(
+        &schema,
+        pairs.iter().map(|&(b, p)| {
+            plan.iter()
+                .map(move |&(from_build, column)| column[if from_build { b } else { p }].clone())
+        }),
+    ))
+}
+
+/// Equi-join row matching over `on` = per key attribute the (build,
+/// probe) column pair: hashes the `build_rows` build side once, streams
+/// the `probe_rows` probe side through it, and returns the matching
+/// (build row, probe row) pairs. Keys borrow from the columns — `&Atom`
+/// for a one-column key, `Vec<&Atom>` otherwise — so no atom is cloned
+/// per row.
+fn hash_join(
+    on: &[(&[Atom], &[Atom])],
+    build_rows: usize,
+    probe_rows: usize,
+) -> Vec<(usize, usize)> {
+    if let [(build, probe)] = on {
+        probe_table(build_rows, |b| &build[b], probe_rows, |p| &probe[p])
+    } else {
+        probe_table(
+            build_rows,
+            |b| on.iter().map(|(build, _)| &build[b]).collect::<Vec<_>>(),
+            probe_rows,
+            |p| on.iter().map(|(_, probe)| &probe[p]).collect::<Vec<_>>(),
+        )
+    }
+}
+
+/// The hash table behind [`hash_join`], generic over the borrowed key.
+/// Build rows sharing a key are chained through `next` (one flat vector,
+/// no per-key allocation): `heads[key]` is the last such row, `next[row]`
+/// the one before it.
+fn probe_table<K: Hash + Eq>(
+    build_rows: usize,
+    build_key: impl Fn(usize) -> K,
+    probe_rows: usize,
+    probe_key: impl Fn(usize) -> K,
+) -> Vec<(usize, usize)> {
+    const END: usize = usize::MAX;
+    let mut heads: FxHashMap<K, usize> = FxHashMap::default();
+    heads.reserve(build_rows);
+    let mut next = vec![END; build_rows];
+    for (b, link) in next.iter_mut().enumerate() {
+        if let Some(prev) = heads.insert(build_key(b), b) {
+            *link = prev;
         }
     }
-    Ok(col::rows_to_object(&schema, rows))
+    let mut pairs = Vec::new();
+    for p in 0..probe_rows {
+        let mut b = heads.get(&probe_key(p)).copied().unwrap_or(END);
+        while b != END {
+            pairs.push((b, p));
+            b = next[b];
+        }
+    }
+    pairs
 }
 
 fn k_union(args: &KernelArgs<'_>) -> Result<Object, RelationalError> {
@@ -247,11 +332,9 @@ fn k_union(args: &KernelArgs<'_>) -> Result<Object, RelationalError> {
         });
     }
     // Same-schema flat rows need no column work at all: the union is the
-    // element union, and the set constructor's flat fast path reduces it
-    // by sort + dedup over interned pointers.
-    Ok(Object::set(
-        ls.elements().iter().chain(rs.elements()).cloned(),
-    ))
+    // ordered merge of the two canonical element lists, already canonical
+    // when it comes out.
+    Ok(col::merge_union(ls, rs))
 }
 
 // ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@
 //! differential tests: run a query through the calculus, decode the result,
 //! and compare with the flat algebra's answer.
 
+use crate::relation::Row;
 use crate::{Database, RelSchema, Relation, RelationalError};
-use co_object::{Attr, Object};
+use co_object::{columnar, Attr, Object, Set};
 
 /// Encodes one relation as a set object of flat tuples.
 ///
@@ -23,15 +24,18 @@ use co_object::{Attr, Object};
 /// calculus results is a pointer check, and repeated encodings allocate
 /// nothing new.
 pub fn encode_relation(r: &Relation) -> Object {
-    Object::set(r.rows().map(|row| {
-        Object::tuple(
-            r.schema()
-                .attrs()
-                .iter()
-                .zip(row.iter())
-                .map(|(a, atom)| (*a, Object::Atom(atom.clone()))),
-        )
-    }))
+    // Tuples list entries by attribute id, schemas in their own order:
+    // fix the column permutation once instead of sorting every row.
+    let attrs = r.schema().attrs();
+    let mut order: Vec<usize> = (0..attrs.len()).collect();
+    order.sort_by_key(|&c| attrs[c]);
+    let canonical: Vec<Attr> = order.iter().map(|&c| attrs[c]).collect();
+    let order = &order;
+    columnar::rows_to_object(
+        &canonical,
+        r.rows()
+            .map(|row| order.iter().map(move |&c| row[c].clone())),
+    )
 }
 
 /// Encodes a database as a tuple of set objects: `[r1: {…}, r2: {…}]`.
@@ -51,6 +55,51 @@ pub fn decode_relation(o: &Object) -> Result<Relation, RelationalError> {
     let set = o
         .as_set()
         .ok_or_else(|| RelationalError::NotFlat(format!("expected a set, got {o}")))?;
+    match decode_uniform(set) {
+        Some(rel) => Ok(rel),
+        // Empty, or irregular somewhere: the general pass names the error.
+        None => decode_general(set),
+    }
+}
+
+/// The one-pass decode of a uniform flat relation: the first element
+/// fixes the schema, every element is read positionally against it
+/// (canonical tuples keep one global attribute order, so equal schemas
+/// align entry by entry), and the rows are handed to the relation in one
+/// bulk build. `None` at the first irregularity — a non-tuple, another
+/// attribute list, a nested value — and for the empty set. Reads tuple
+/// entries directly: no columnar arena is built or memoized for a set
+/// that is only being decoded.
+fn decode_uniform(set: &Set) -> Option<Relation> {
+    let first = set.elements().first()?.as_tuple()?;
+    let attrs: Vec<Attr> = first.attrs().collect();
+    // Column `i` of the relation is entry `order[i]` of each tuple:
+    // schemas list attributes by name, tuples by attribute id.
+    let mut order: Vec<usize> = (0..attrs.len()).collect();
+    order.sort_by_cached_key(|&c| attrs[c].name());
+    let schema = RelSchema::new(order.iter().map(|&c| attrs[c])).ok()?;
+    let mut rows: Vec<Row> = Vec::with_capacity(set.len());
+    for e in set.iter() {
+        let entries = e.as_tuple()?.entries();
+        if entries.len() != attrs.len() {
+            return None;
+        }
+        let mut row = Row::with_capacity(order.len());
+        for &c in &order {
+            match &entries[c] {
+                (a, Object::Atom(atom)) if *a == attrs[c] => row.push(atom.clone()),
+                _ => return None,
+            }
+        }
+        rows.push(row);
+    }
+    Relation::new(schema, rows).ok()
+}
+
+/// The general decode: schema from the union of attributes over all
+/// elements, then one row per element — which is where a non-tuple, a
+/// nested value or a missing attribute gets its error.
+fn decode_general(set: &Set) -> Result<Relation, RelationalError> {
     // Collect the schema as the union of attributes over all elements.
     let mut attrs: Vec<Attr> = Vec::new();
     for e in set.iter() {
@@ -68,8 +117,9 @@ pub fn decode_relation(o: &Object) -> Result<Relation, RelationalError> {
             }
         }
     }
-    // Keep a deterministic column order.
-    attrs.sort_by_key(|a| a.name());
+    // Keep a deterministic column order (one name lookup per attribute,
+    // not one per comparison).
+    attrs.sort_by_cached_key(|a| a.name());
     let schema = RelSchema::new(attrs.iter().copied())?;
     let mut rel = Relation::empty(schema);
     for e in set.iter() {

@@ -56,6 +56,19 @@ impl RelSchema {
             })
     }
 
+    /// Hands `row` back when it has one atom per attribute.
+    fn check_arity(&self, row: Row) -> Result<Row, RelationalError> {
+        if row.len() == self.arity() {
+            Ok(row)
+        } else {
+            Err(RelationalError::SchemaMismatch {
+                operation: "row insertion (arity)",
+                left: self.to_string(),
+                right: format!("row of arity {}", row.len()),
+            })
+        }
+    }
+
     /// True when the schemas contain the same attribute set (order
     /// irrelevant) — the compatibility condition for union/intersection/
     /// difference.
@@ -109,15 +122,17 @@ impl Relation {
     }
 
     /// Builds a relation from rows; every row must match the schema arity.
+    /// The rows are collected in bulk (one sort, one tree build — linear
+    /// when they arrive in order), not inserted one by one.
     pub fn new<I>(schema: RelSchema, rows: I) -> Result<Relation, RelationalError>
     where
         I: IntoIterator<Item = Row>,
     {
-        let mut r = Relation::empty(schema);
-        for row in rows {
-            r.insert(row)?;
-        }
-        Ok(r)
+        let rows = rows
+            .into_iter()
+            .map(|row| schema.check_arity(row))
+            .collect::<Result<BTreeSet<Row>, _>>()?;
+        Ok(Relation { schema, rows })
     }
 
     /// The schema.
@@ -142,14 +157,7 @@ impl Relation {
 
     /// Inserts a row (set semantics).
     pub fn insert(&mut self, row: Row) -> Result<(), RelationalError> {
-        if row.len() != self.schema.arity() {
-            return Err(RelationalError::SchemaMismatch {
-                operation: "row insertion (arity)",
-                left: self.schema.to_string(),
-                right: format!("row of arity {}", row.len()),
-            });
-        }
-        self.rows.insert(row);
+        self.rows.insert(self.schema.check_arity(row)?);
         Ok(())
     }
 

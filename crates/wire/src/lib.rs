@@ -370,6 +370,9 @@ impl std::fmt::Display for WriteStats {
 struct Encoder<'a> {
     symbols: Vec<String>,
     by_name: FxHashMap<String, u64>,
+    /// Attributes already resolved to their symbol index: one interner
+    /// read and one string hash per distinct attribute, not per entry.
+    by_attr: FxHashMap<Attr, u64>,
     /// New nodes of this layer → combined-space local id.
     locals: FxHashMap<NodeId, u64>,
     base: Option<&'a SnapshotHandle>,
@@ -387,6 +390,17 @@ impl Encoder<'_> {
         let ix = self.symbols.len() as u64;
         self.symbols.push(name.to_owned());
         self.by_name.insert(name.to_owned(), ix);
+        ix
+    }
+
+    /// The symbol index of an attribute's name — the same table, and
+    /// therefore the same first-appearance order, as [`Self::symbol`].
+    fn attr_symbol(&mut self, attr: Attr) -> u64 {
+        if let Some(&ix) = self.by_attr.get(&attr) {
+            return ix;
+        }
+        let ix = self.symbol(&attr.name());
+        self.by_attr.insert(attr, ix);
         ix
     }
 
@@ -541,6 +555,7 @@ fn write_snapshot_inner<W: Write>(
     let mut enc = Encoder {
         symbols: Vec::new(),
         by_name: FxHashMap::default(),
+        by_attr: FxHashMap::default(),
         locals: FxHashMap::default(),
         base,
         reused: FxHashSet::default(),
@@ -561,7 +576,7 @@ fn write_snapshot_inner<W: Write>(
             table.push(NODE_FLAT_SET);
             put_varint(&mut table, cols.arity() as u64);
             for attr in cols.schema() {
-                let ix = enc.symbol(&attr.name());
+                let ix = enc.attr_symbol(*attr);
                 put_varint(&mut table, ix);
             }
             put_varint(&mut table, cols.rows() as u64);
@@ -577,7 +592,7 @@ fn write_snapshot_inner<W: Write>(
                 table.push(NODE_TUPLE);
                 put_varint(&mut table, t.len() as u64);
                 for (attr, value) in t.entries() {
-                    let ix = enc.symbol(&attr.name());
+                    let ix = enc.attr_symbol(*attr);
                     put_varint(&mut table, ix);
                     enc.value(&mut table, value);
                 }
@@ -946,6 +961,31 @@ fn read_payload<R: Read>(r: &mut R, h: &Header) -> Result<Vec<u8>, WireError> {
     Ok(payload)
 }
 
+/// One layer's symbol table on the read side: the spellings, plus the
+/// [`Attr`] each one names once some record has used it as an attribute
+/// (string-atom payloads share the table and are never interned as
+/// attributes).
+struct Symbols {
+    names: Vec<String>,
+    attrs: Vec<Option<Attr>>,
+}
+
+impl Symbols {
+    /// The attribute symbol `ix` names, interned on first use in this
+    /// layer. `context` is appended to the out-of-range error (empty for
+    /// plain node records).
+    fn attr(&mut self, ix: u64, context: &str) -> Result<Attr, WireError> {
+        let slot = usize::try_from(ix).unwrap_or(usize::MAX);
+        let name = self.names.get(slot).ok_or_else(|| WireError::Malformed {
+            detail: format!(
+                "attribute symbol index {ix} out of range ({} symbols){context}",
+                self.names.len()
+            ),
+        })?;
+        Ok(*self.attrs[slot].get_or_insert_with(|| Attr::new(name)))
+    }
+}
+
 /// Decodes one value; composites must be backward references into the
 /// already-decoded prefix of the (combined, for chains) node table.
 fn get_value(
@@ -1008,7 +1048,7 @@ fn get_value(
 fn decode_flat_set(
     c: &mut Cursor<'_>,
     nodes: &[Object],
-    symbols: &[String],
+    symbols: &mut Symbols,
 ) -> Result<Object, WireError> {
     let context = "columnar node";
     let arity = c.varint(context)?;
@@ -1021,15 +1061,7 @@ fn decode_flat_set(
     let mut schema: Vec<Attr> = Vec::with_capacity(arity);
     for _ in 0..arity {
         let ix = c.varint(context)?;
-        let name = symbols
-            .get(usize::try_from(ix).unwrap_or(usize::MAX))
-            .ok_or_else(|| WireError::Malformed {
-                detail: format!(
-                    "attribute symbol index {ix} out of range ({} symbols) in {context}",
-                    symbols.len()
-                ),
-            })?;
-        schema.push(Attr::new(name));
+        schema.push(symbols.attr(ix, " in columnar node")?);
     }
     let rows = c.varint(context)?;
     // Each cell is at least one payload byte, so `arity × rows` beyond
@@ -1052,7 +1084,7 @@ fn decode_flat_set(
     for _ in 0..arity {
         let mut column = Vec::with_capacity(rows);
         for _ in 0..rows {
-            let value = get_value(c, context, nodes, symbols, false)?;
+            let value = get_value(c, context, nodes, &symbols.names, false)?;
             if !matches!(value, Object::Atom(_)) {
                 return Err(WireError::Malformed {
                     detail: "node reference inside a columnar record (rows are atoms only)".into(),
@@ -1146,10 +1178,14 @@ fn read_layer_inner<R: Read>(
 
     // Symbol table (layer-local: every layer carries its own spellings).
     let symbol_count = c.varint("symbol table")?;
-    let mut symbols: Vec<String> = Vec::new();
+    let mut names: Vec<String> = Vec::new();
     for _ in 0..symbol_count {
-        symbols.push(c.str("symbol table")?.to_owned());
+        names.push(c.str("symbol table")?.to_owned());
     }
+    let mut symbols = Symbols {
+        attrs: vec![None; names.len()],
+        names,
+    };
 
     // Node table, bottom-up: every child reference resolves into the
     // combined prefix decoded so far (base layers included), and every
@@ -1162,17 +1198,9 @@ fn read_layer_inner<R: Read>(
                 let len = c.varint("node table")?;
                 let mut entries: Vec<(Attr, Object)> = Vec::new();
                 for _ in 0..len {
-                    let ix = c.varint("node table")?;
-                    let name = symbols
-                        .get(usize::try_from(ix).unwrap_or(usize::MAX))
-                        .ok_or_else(|| WireError::Malformed {
-                            detail: format!(
-                                "attribute symbol index {ix} out of range ({} symbols)",
-                                symbols.len()
-                            ),
-                        })?;
-                    let value = get_value(&mut c, "node table", nodes, &symbols, false)?;
-                    entries.push((Attr::new(name), value));
+                    let attr = symbols.attr(c.varint("node table")?, "")?;
+                    let value = get_value(&mut c, "node table", nodes, &symbols.names, false)?;
+                    entries.push((attr, value));
                 }
                 Object::try_tuple(entries).map_err(|e| WireError::Malformed {
                     detail: format!("invalid tuple node: {e}"),
@@ -1182,13 +1210,19 @@ fn read_layer_inner<R: Read>(
                 let len = c.varint("node table")?;
                 let mut elements: Vec<Object> = Vec::new();
                 for _ in 0..len {
-                    elements.push(get_value(&mut c, "node table", nodes, &symbols, false)?);
+                    elements.push(get_value(
+                        &mut c,
+                        "node table",
+                        nodes,
+                        &symbols.names,
+                        false,
+                    )?);
                 }
                 Object::set(elements)
             }
             NODE_FLAT_SET if header.version == FORMAT_VERSION_COLUMNAR => {
                 columnar_records += 1;
-                decode_flat_set(&mut c, nodes, &symbols)?
+                decode_flat_set(&mut c, nodes, &mut symbols)?
             }
             tag => {
                 return Err(WireError::BadTag {
@@ -1211,7 +1245,13 @@ fn read_layer_inner<R: Read>(
     // Roots and metadata.
     let mut roots: Vec<Object> = Vec::new();
     for _ in 0..header.root_count {
-        roots.push(get_value(&mut c, "root table", nodes, &symbols, true)?);
+        roots.push(get_value(
+            &mut c,
+            "root table",
+            nodes,
+            &symbols.names,
+            true,
+        )?);
     }
     let meta_len = c.varint("metadata")?;
     let meta_len = usize::try_from(meta_len).map_err(|_| WireError::Malformed {

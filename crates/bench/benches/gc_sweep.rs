@@ -1,15 +1,11 @@
 //! F9 — object-store lifecycle: sweep cost under churn, idle-sweep
-//! overhead, reclamation ratio, and the steady-state memo hit rate of
-//! second-chance eviction vs the legacy epoch clearing on a fixpoint
-//! workload under memo-capacity pressure.
+//! overhead, and reclamation ratio.
 //!
-//! Run with `--save-json BENCH_pr3.json` (or `CRITERION_SAVE_JSON`) to
-//! record every measurement — including the derived reclaim ratios and
-//! hit rates this file computes itself — as JSON.
+//! Run with `--save-json <file>` (or `CRITERION_SAVE_JSON`) to record
+//! every measurement — including the derived reclaim ratio this file
+//! computes itself — as JSON.
 
-use co_bench::chain_family;
-use co_engine::{Engine, Guard, Strategy};
-use co_object::store::{self, MemoPolicy, MemoStats};
+use co_object::store;
 use co_object::Object;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -24,25 +20,6 @@ fn transient(salt: i64, i: i64) -> Object {
             Object::set([Object::int(i), Object::int(i + 1)]),
         ),
     ])
-}
-
-/// A burst of distinct memo-worthy `≤`/`∪` queries: pure cold traffic
-/// that pressures both memo tables into evicting.
-fn cold_memo_stream(salt: i64) {
-    let make = |tag: i64| {
-        Object::set((0..13).map(move |j| {
-            Object::tuple([
-                ("gc_bench_cold", Object::int(tag)),
-                ("member", Object::int(j)),
-            ])
-        }))
-    };
-    for i in 0..128 {
-        let a = make(salt * 100_000 + i * 2);
-        let b = make(salt * 100_000 + i * 2 + 1);
-        let _ = black_box(co_object::order::le(&a, &b));
-        let _ = black_box(co_object::lattice::union(&a, &b));
-    }
 }
 
 fn bench_sweep(c: &mut Criterion) {
@@ -89,87 +66,5 @@ fn bench_sweep(c: &mut Criterion) {
     store::collect();
 }
 
-/// Combined `≤`/`∪`/`∩` lookups and hits between two snapshots.
-fn memo_delta(before: &MemoStats, after: &MemoStats) -> (u64, u64) {
-    (after.hits - before.hits, after.misses - before.misses)
-}
-
-fn bench_memo_policies(c: &mut Criterion) {
-    // Tight capacity so the fixpoint's memo traffic plus the cold stream
-    // overflows the shards — the regime where the policy matters.
-    store::set_memo_shard_cap(64);
-    let db = chain_family(90);
-    // Descendants over the chain, with a payload-carrying head: every
-    // round derives a large `doapay` row, so the round union
-    // `current ∪ applied` (and the nested `doapay` set union) are
-    // memoizable big×big pairs. Re-running the same fixpoint replays the
-    // identical pair sequence — the hot working set that second-chance
-    // eviction is supposed to keep alive under cold pressure.
-    let program = co_parser::parse_program(
-        "[doa: {p0}, doapay: {[name: p0, pay: {c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12}]}].
-         [doa: {X}, doapay: {[name: X, pay: {c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12}]}] :-
-             [family: {[name: Y, children: {[name: X]}]}, doa: {Y}].",
-    )
-    .unwrap();
-    let engine = Engine::new(program)
-        .strategy(Strategy::SemiNaive)
-        .indexes(false)
-        .guard(Guard::unlimited());
-
-    let mut group = c.benchmark_group("gc/fixpoint_memo");
-    for (label, policy) in [
-        ("epoch", MemoPolicy::EpochClear),
-        ("second_chance", MemoPolicy::SecondChance),
-    ] {
-        store::set_memo_policy(policy);
-        store::clear_memo_tables();
-        let _ = engine.run(&db).unwrap(); // warm the hot pairs
-        let salt = std::cell::Cell::new(0i64);
-        group.bench_function(BenchmarkId::new("run", label), |b| {
-            b.iter(|| {
-                let s = salt.get();
-                salt.set(s + 1);
-                cold_memo_stream(s); // eviction pressure between runs
-                black_box(engine.run(&db).unwrap())
-            })
-        });
-
-        // Steady-state hit rate over a fixed post-warm cycle (identical
-        // for both policies, so the rates are directly comparable).
-        let before = store::stats();
-        for i in 0..8 {
-            cold_memo_stream(1_000_000 + salt.get() * 100 + i);
-            let _ = engine.run(&db).unwrap();
-        }
-        let after = store::stats();
-        let (mut hits, mut lookups) = (0u64, 0u64);
-        for (b, a) in [
-            (&before.le_memo, &after.le_memo),
-            (&before.union_memo, &after.union_memo),
-            (&before.intersect_memo, &after.intersect_memo),
-        ] {
-            let (h, m) = memo_delta(b, a);
-            hits += h;
-            lookups += h + m;
-        }
-        let rate = hits as f64 / lookups.max(1) as f64;
-        let evicted = after.le_memo.evicted + after.union_memo.evicted
-            - (before.le_memo.evicted + before.union_memo.evicted);
-        let clears = after.le_memo.epoch_clears + after.union_memo.epoch_clears
-            - (before.le_memo.epoch_clears + before.union_memo.epoch_clears);
-        println!(
-            "gc/fixpoint_memo/{label}: steady-state hit rate {:.1}% \
-             ({hits}/{lookups} lookups, {evicted} evicted, {clears} epoch clears)",
-            rate * 100.0
-        );
-        criterion::save_json_record(&format!(
-            "{{\"bench\": \"gc/fixpoint_memo\", \"id\": \"hit_rate/{label}\", \
-             \"hit_rate\": {rate:.4}, \"hits\": {hits}, \"lookups\": {lookups}, \
-             \"evicted\": {evicted}, \"epoch_clears\": {clears}}}"
-        ));
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_sweep, bench_memo_policies);
+criterion_group!(benches, bench_sweep);
 criterion_main!(benches);

@@ -51,16 +51,15 @@
 //! values forever. Only comparisons of *large* nodes (see
 //! [`MEMO_MIN_SIZE`]) are memoized: small comparisons are cheaper than a
 //! lock round-trip. The tables are sharded by key hash like the interner,
-//! and bounded by `CO_MEMO_SHARD_CAP` entries per shard. The default
-//! eviction policy is **second chance** ([`MemoPolicy::SecondChance`]):
-//! each shard keeps its keys on a clock ring with a referenced bit that
-//! lookups set, and a full shard evicts the first un-referenced (cold)
-//! key instead of clearing wholesale — hot pairs that fixpoint rounds
-//! re-ask every iteration survive. The pre-PR-3 wholesale-clear policy
-//! remains selectable ([`MemoPolicy::EpochClear`]) for comparison, and
-//! [`MemoPolicy::Disabled`] turns memoization off; all three are runtime
-//! knobs (see [`set_memo_policy`]) observable through the `evicted` /
-//! `retained` / `epoch_clears` counters of [`MemoStats`].
+//! and bounded by `CO_MEMO_SHARD_CAP` entries per shard. Eviction is
+//! **second chance** ([`MemoPolicy::SecondChance`]): each shard keeps its
+//! keys on a clock ring with a referenced bit that lookups set, and a
+//! full shard evicts the first un-referenced (cold) key instead of
+//! clearing wholesale — hot pairs that fixpoint rounds re-ask every
+//! iteration survive. [`MemoPolicy::Disabled`] turns memoization off at
+//! runtime (see [`set_memo_policy`]; the differential reference for
+//! tests). Eviction is observable through the `evicted` / `retained`
+//! counters of [`MemoStats`].
 //!
 //! # Lifetime
 //!
@@ -564,7 +563,7 @@ pub const MEMO_MIN_SIZE: u64 = 12;
 const MEMO_SHARD_COUNT: usize = 16;
 
 /// Default maximum entries per memo table across all shards; a shard
-/// reaching its share of this capacity evicts per [`MemoPolicy`].
+/// reaching its share of this capacity evicts by second chance.
 const MEMO_CAP: usize = 1 << 20;
 
 /// Sentinel meaning "capacity not yet initialized from the environment".
@@ -611,7 +610,7 @@ pub fn set_memo_shard_cap(cap: usize) {
     MEMO_SHARD_CAP.store(cap.max(1), Ordering::Relaxed);
 }
 
-/// Eviction policy of the bounded memo tables (process-wide).
+/// Whether — and how — the bounded memo tables cache (process-wide).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum MemoPolicy {
     /// Second-chance (clock) eviction: lookups set a referenced bit on the
@@ -620,64 +619,34 @@ pub enum MemoPolicy {
     /// pairs that fixpoint rounds re-ask every iteration.
     #[default]
     SecondChance,
-    /// The pre-second-chance policy: a full shard is cleared wholesale
-    /// (counted in [`MemoStats::epoch_clears`]). Kept selectable as the
-    /// comparison baseline for benchmarks.
-    EpochClear,
     /// Memoization off: every operation recomputes. The differential
     /// baseline for correctness tests.
     Disabled,
 }
 
-/// Encodes a policy for the process-wide atomic cell.
-fn memo_policy_code(p: MemoPolicy) -> u8 {
-    match p {
-        MemoPolicy::SecondChance => 1,
-        MemoPolicy::EpochClear => 2,
-        MemoPolicy::Disabled => 3,
-    }
-}
+/// Set while memoization is [`MemoPolicy::Disabled`].
+static MEMO_DISABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
-/// Process-wide memo policy; 0 = not yet initialized from the environment.
-static MEMO_POLICY: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// The current process-wide [`MemoPolicy`]. Initialized lazily from the
-/// `CO_MEMO_POLICY` environment variable (`second-chance` (default),
-/// `epoch`, or `off`).
+/// The current process-wide [`MemoPolicy`]:
+/// [`MemoPolicy::SecondChance`] unless [`set_memo_policy`] said otherwise.
 pub fn memo_policy() -> MemoPolicy {
-    match MEMO_POLICY.load(Ordering::Relaxed) {
-        1 => MemoPolicy::SecondChance,
-        2 => MemoPolicy::EpochClear,
-        3 => MemoPolicy::Disabled,
-        _ => {
-            let policy = match std::env::var("CO_MEMO_POLICY").ok().as_deref() {
-                Some("epoch") => MemoPolicy::EpochClear,
-                Some("off") | Some("disabled") => MemoPolicy::Disabled,
-                _ => MemoPolicy::SecondChance,
-            };
-            // Only initialize from the unset sentinel: a concurrent
-            // explicit `set_memo_policy` must win over the env default.
-            let _ = MEMO_POLICY.compare_exchange(
-                0,
-                memo_policy_code(policy),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            memo_policy()
-        }
+    if MEMO_DISABLED.load(Ordering::Relaxed) {
+        MemoPolicy::Disabled
+    } else {
+        MemoPolicy::SecondChance
     }
 }
 
-/// Selects the process-wide memo eviction policy at runtime. Cached
-/// entries survive a policy switch (switch to [`MemoPolicy::Disabled`]
-/// merely stops consulting them; see [`clear_memo_tables`] to drop them).
+/// Selects the process-wide memo policy at runtime. Cached entries
+/// survive a switch (switching to [`MemoPolicy::Disabled`] merely stops
+/// consulting them; see [`clear_memo_tables`] to drop them).
 pub fn set_memo_policy(p: MemoPolicy) {
-    MEMO_POLICY.store(memo_policy_code(p), Ordering::Relaxed);
+    MEMO_DISABLED.store(p == MemoPolicy::Disabled, Ordering::Relaxed);
 }
 
 /// Drops every entry of the `≤`/`∪`/`∩` memo tables (counters are
-/// untouched). A test/benchmark lever: lets one process compare eviction
-/// policies from identical cold starts.
+/// untouched). A test/benchmark lever: lets one process start several
+/// measurements from identical cold tables.
 pub fn clear_memo_tables() {
     LE_MEMO.clear();
     UNION_MEMO.clear();
@@ -731,7 +700,6 @@ struct MemoTable<V> {
     hits: AtomicU64,
     misses: AtomicU64,
     contended: AtomicU64,
-    epoch_clears: AtomicU64,
     evicted: AtomicU64,
     retained: AtomicU64,
     swept: AtomicU64,
@@ -744,7 +712,6 @@ impl<V: Clone> MemoTable<V> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             contended: AtomicU64::new(0),
-            epoch_clears: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             retained: AtomicU64::new(0),
             swept: AtomicU64::new(0),
@@ -788,13 +755,6 @@ impl<V: Clone> MemoTable<V> {
         let cap = memo_shard_cap();
         match memo_policy() {
             MemoPolicy::Disabled => return,
-            MemoPolicy::EpochClear => {
-                if state.map.len() >= cap {
-                    state.map.clear();
-                    state.ring.clear();
-                    self.epoch_clears.fetch_add(1, Ordering::Relaxed);
-                }
-            }
             MemoPolicy::SecondChance => {
                 // Clock sweep: hot (referenced) keys get their bit cleared
                 // and one more round; the first cold key is evicted. A full
@@ -868,7 +828,6 @@ impl<V: Clone> MemoTable<V> {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             contended: self.contended.load(Ordering::Relaxed),
-            epoch_clears: self.epoch_clears.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
             retained: self.retained.load(Ordering::Relaxed),
             swept: self.swept.load(Ordering::Relaxed),
@@ -1276,12 +1235,11 @@ static GC_COLLECTOR_STATE: std::sync::atomic::AtomicU8 = std::sync::atomic::Atom
 ///
 /// With the collector on, the intern-path high-water trigger becomes a
 /// cheap nudge (one atomic swap, at most one condvar notify) instead of an
-/// inline sweep, and explicit [`collect`] calls are serviced *on* the
-/// collector thread (the caller blocks for the result, so semantics and
-/// [`SweepStats`] are unchanged — only the pause moves off request
-/// threads). The thread also paces itself off the live-node gauge every
-/// ~20ms, so a crossing that happened while the gate was busy — or right
-/// before interning went quiet — is absorbed instead of lost.
+/// inline sweep. The thread also paces itself off the live-node gauge
+/// every ~20ms, so a crossing that happened while the gate was busy — or
+/// right before interning went quiet — is absorbed instead of lost.
+/// Explicit [`collect`] calls sweep on the caller's thread in both modes,
+/// serialised with the collector's cycles by the collect gate.
 ///
 /// Initialized lazily from the `CO_GC_COLLECTOR` environment variable
 /// (`1`/`on`/`true` enable); override at runtime with
@@ -1311,8 +1269,7 @@ pub fn gc_collector_enabled() -> bool {
 /// Turns the dedicated collector thread on or off at runtime. The thread
 /// is spawned on first enablement and lives for the process (turning the
 /// collector off merely routes collection back inline; an idle collector
-/// thread costs one ~20ms-interval timed wait). Pending synchronous
-/// requests are always served, even across a disable.
+/// thread costs one ~20ms-interval timed wait).
 pub fn set_gc_collector(on: bool) {
     GC_COLLECTOR_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
     if on {
@@ -1320,22 +1277,12 @@ pub fn set_gc_collector(on: bool) {
     }
 }
 
-/// The collector thread's request ledger: explicit [`collect`] calls take
-/// a ticket (`requested`) and wait until `completed` catches up; the
-/// cycle's [`SweepStats`] travel back through `last`.
-#[derive(Default)]
-struct CollectorShared {
-    requested: u64,
-    completed: u64,
-    last: SweepStats,
-}
-
 struct Collector {
-    state: std::sync::Mutex<CollectorShared>,
-    /// Wakes the collector thread (new ticket or high-water nudge).
+    /// Guards no data: nudges notify under it, so a wake-up cannot slip
+    /// between the collector's due-check and its wait.
+    lock: std::sync::Mutex<()>,
+    /// Wakes the collector thread (high-water nudge).
     work: std::sync::Condvar,
-    /// Wakes ticket holders when `completed` advances.
-    done: std::sync::Condvar,
 }
 
 /// The collector singleton; spawns the thread on first access.
@@ -1343,9 +1290,8 @@ fn collector() -> &'static Collector {
     static CELL: OnceLock<&'static Collector> = OnceLock::new();
     CELL.get_or_init(|| {
         let c: &'static Collector = Box::leak(Box::new(Collector {
-            state: std::sync::Mutex::new(CollectorShared::default()),
+            lock: std::sync::Mutex::new(()),
             work: std::sync::Condvar::new(),
-            done: std::sync::Condvar::new(),
         }));
         std::thread::Builder::new()
             .name("co-gc-collector".to_owned())
@@ -1362,32 +1308,14 @@ fn nudge_collector() {
     if GC_NUDGE_PENDING.swap(true, Ordering::AcqRel) {
         return; // a nudge is already queued; the collector will see it
     }
-    let _s = collector().state.lock().unwrap_or_else(|e| e.into_inner());
+    let _wait = collector().lock.lock().unwrap_or_else(|e| e.into_inner());
     collector().work.notify_all();
 }
 
-/// Runs one full collection cycle on the collector thread, blocking the
-/// caller until it completes; returns that cycle's stats. Semantically
-/// identical to an inline [`collect`] — the caller's thread-local L1 is
-/// flushed *here* (the collector cannot reach it), so the caller's own
-/// dropped transients are reclaimable by the cycle it waits for.
-fn collect_via_collector() -> SweepStats {
-    flush_thread_caches();
-    let c = collector();
-    let mut s = c.state.lock().unwrap_or_else(|e| e.into_inner());
-    s.requested += 1;
-    let ticket = s.requested;
-    c.work.notify_all();
-    while s.completed < ticket {
-        s = c.done.wait(s).unwrap_or_else(|e| e.into_inner());
-    }
-    s.last
-}
-
-/// The collector thread: serves explicit tickets, absorbs high-water
-/// nudges, and re-checks the live-node gauge on a ~20ms pacing tick (so a
-/// crossing that raced a busy gate — or happened just before interning
-/// went quiet — still gets its sweep).
+/// The collector thread: absorbs high-water nudges, and re-checks the
+/// live-node gauge on a ~20ms pacing tick (so a crossing that raced a busy
+/// gate — or happened just before interning went quiet — still gets its
+/// sweep).
 fn collector_loop(c: &'static Collector) {
     const PACING: std::time::Duration = std::time::Duration::from_millis(20);
     let gauge_due = || {
@@ -1397,55 +1325,37 @@ fn collector_loop(c: &'static Collector) {
             && LIVE_NODES.load(Ordering::Relaxed) >= GC_NEXT_AUTO.load(Ordering::Relaxed)
     };
     loop {
-        let (target, served) = {
-            let mut s = c.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if s.requested > s.completed
-                    || GC_NUDGE_PENDING.load(Ordering::Acquire)
-                    || gauge_due()
-                {
-                    break;
-                }
+        {
+            let mut idle = c.lock.lock().unwrap_or_else(|e| e.into_inner());
+            while !(GC_NUDGE_PENDING.load(Ordering::Acquire) || gauge_due()) {
                 let (guard, _timeout) = c
                     .work
-                    .wait_timeout(s, PACING)
+                    .wait_timeout(idle, PACING)
                     .unwrap_or_else(|e| e.into_inner());
-                s = guard;
+                idle = guard;
             }
-            (s.requested, s.completed)
-        };
+        }
         let nudged = GC_NUDGE_PENDING.swap(false, Ordering::AcqRel);
-        let explicit = target > served;
         // A nudge only *causes* a sweep while automatic collection is
         // still armed and the collector still owns it: a stale nudge left
         // behind after the mark (or the collector) was turned off must be
         // absorbed without sweeping, or a disabled collector would keep
         // running cycles concurrently with whoever took over.
-        let auto_due = (nudged || gauge_due()) && gc_collector_enabled() && gc_high_water() != 0;
-        if !explicit && !auto_due {
+        if !((nudged || gauge_due()) && gc_collector_enabled() && gc_high_water() != 0) {
             continue;
         }
-        if auto_due {
-            GC_AUTO_TRIGGERS.fetch_add(1, Ordering::Relaxed);
-        }
-        // Autonomous (gauge/nudge-driven) sweeps pace themselves —
-        // sleeping between slices (see `Slicer`) — so background
-        // collection never monopolizes a core against the serving
-        // threads. Explicit tickets have a caller parked in
-        // `collect_via_collector`; those cycles run unpaced, like inline
-        // `collect()` always did.
-        let stats = {
+        GC_AUTO_TRIGGERS.fetch_add(1, Ordering::Relaxed);
+        // Autonomous sweeps pace themselves — sleeping between slices
+        // (see `Slicer`) — so background collection never monopolizes a
+        // core against the serving threads.
+        {
             let _gate = GC_GATE.lock();
-            collect_locked(!explicit)
-        };
+            collect_locked(true);
+        }
         let hw = gc_high_water();
         if hw != 0 {
             rearm_after_sweep(hw);
         }
-        let mut s = c.state.lock().unwrap_or_else(|e| e.into_inner());
-        s.completed = target;
-        s.last = stats;
-        c.done.notify_all();
     }
 }
 
@@ -1547,10 +1457,9 @@ const MAX_SWEEP_PASSES: u32 = 8;
 /// within the same pass, and the cycle re-runs (bounded by
 /// `MAX_SWEEP_PASSES`) when purging memo values released more nodes.
 ///
-/// With the collector thread on ([`gc_collector_enabled`]) the cycle is
-/// executed on that thread; this call still blocks until it completes and
-/// returns the same [`SweepStats`], so explicit collection keeps its
-/// synchronous semantics in both modes.
+/// The cycle always runs on the caller's thread, one collection at a
+/// time — also with the collector thread on ([`gc_collector_enabled`]),
+/// whose autonomous cycles queue behind the same gate.
 ///
 /// Two invariants make this safe to run at any quiescent or concurrent
 /// point:
@@ -1583,9 +1492,6 @@ const MAX_SWEEP_PASSES: u32 = 8;
 /// assert!(store::stats().gc_sweeps > before.gc_sweeps);
 /// ```
 pub fn collect() -> SweepStats {
-    if gc_collector_enabled() {
-        return collect_via_collector();
-    }
     let stats = {
         let _gate = GC_GATE.lock();
         collect_locked(false)
@@ -2024,9 +1930,6 @@ pub struct MemoStats {
     pub misses: u64,
     /// Lock acquisitions that had to block behind another thread.
     pub contended: u64,
-    /// Wholesale shard clears performed on reaching capacity — only under
-    /// [`MemoPolicy::EpochClear`], the legacy policy kept for comparison.
-    pub epoch_clears: u64,
     /// Cold entries evicted one-by-one by the second-chance clock.
     pub evicted: u64,
     /// Second chances granted: the clock hand found the entry referenced
@@ -2150,8 +2053,8 @@ impl std::fmt::Display for StoreStats {
             writeln!(
                 f,
                 "  memo {}: {} entries, {} hits, {} misses, {} evicted, \
-                 {} retained, {} swept, {} epoch clears",
-                label, m.entries, m.hits, m.misses, m.evicted, m.retained, m.swept, m.epoch_clears
+                 {} retained, {} swept",
+                label, m.entries, m.hits, m.misses, m.evicted, m.retained, m.swept
             )?;
         }
         writeln!(

@@ -110,7 +110,6 @@ fn counters_reconcile_and_display_is_pinned() {
             hits: 10,
             misses: 9,
             contended: 0,
-            epoch_clears: 0,
             evicted: 3,
             retained: 2,
             swept: 1,
@@ -129,9 +128,9 @@ fn counters_reconcile_and_display_is_pinned() {
     let expected = "\
 store: 12 tuple nodes, 3 set nodes across 16 shards
   intern: 100 hits (40 thread-local), 60 misses, 2 contended acquisitions
-  memo ≤: 5 entries, 10 hits, 9 misses, 3 evicted, 2 retained, 1 swept, 0 epoch clears
-  memo ∪: 0 entries, 0 hits, 0 misses, 0 evicted, 0 retained, 0 swept, 0 epoch clears
-  memo ∩: 0 entries, 0 hits, 0 misses, 0 evicted, 0 retained, 0 swept, 0 epoch clears
+  memo ≤: 5 entries, 10 hits, 9 misses, 3 evicted, 2 retained, 1 swept
+  memo ∪: 0 entries, 0 hits, 0 misses, 0 evicted, 0 retained, 0 swept
+  memo ∩: 0 entries, 0 hits, 0 misses, 0 evicted, 0 retained, 0 swept
   gc: 2 sweeps (1 auto, 3 slices), 7 nodes freed, 15 live, 1 pinned roots
 ";
     assert_eq!(rendered, expected);

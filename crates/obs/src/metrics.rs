@@ -188,7 +188,7 @@ impl Histogram {
     }
 
     /// Records one observation regardless of the gate — for callers
-    /// (like a load generator's client-side latencies) that must keep
+    /// (like a benchmark harness's client-side latencies) that must keep
     /// measuring while the gate is off for the system under test.
     #[inline]
     pub fn record_always(&self, value: u64) {
@@ -445,9 +445,9 @@ mod tests {
     fn windowed_minus_never_inherits_a_previous_windows_extreme() {
         // Regression (PR 10): `minus` used to copy the cumulative
         // `min`/`max` into the delta, so every windowed report carried the
-        // process-lifetime extremes — BENCH_pr9's pool rows all showed the
-        // threaded run's 251ms max. A window's extremes must come from its
-        // own delta buckets.
+        // process-lifetime extremes — one recorded benchmark's rows all
+        // showed an earlier run's 251ms max. A window's extremes must come
+        // from its own delta buckets.
         let h = Histogram::new();
         // Window 1: one huge and one tiny outlier.
         h.record_always(1);

@@ -3,11 +3,11 @@
 //! One [`Client`] is one session: a TCP connection speaking
 //! request/response frames. Result payloads are re-interned into the
 //! local store via [`co_wire::read_snapshot`] — in-process (the tests,
-//! the load generator) that means the returned [`Object`] carries the
+//! the benchmark spine) that means the returned [`Object`] carries the
 //! **same `NodeId`s** as the server-side result, which is what lets the
 //! differential tests assert bit-identical snapshot reads.
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN};
 use crate::protocol::{ErrorCode, Request, Response, StatsDigest};
 use crate::ProtocolError;
 use co_object::Object;
@@ -81,22 +81,21 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects a new session. The frame cap mirrors the server's env
-    /// default (`CO_SERVER_MAX_FRAME`), since responses carry whole
-    /// result objects. Talking to a server configured programmatically
-    /// with a different [`ServerConfig::max_frame_len`]? Use
-    /// [`Client::connect_with`] so large valid responses are not
-    /// rejected as oversized.
+    /// Connects a new session accepting response frames up to
+    /// [`DEFAULT_MAX_FRAME_LEN`] (responses carry whole result objects).
+    /// Talking to a server with a different
+    /// [`ServerConfig::max_frame_len`]? Use [`Client::connect_with`] so
+    /// large valid responses are not rejected as oversized.
     ///
     /// [`ServerConfig::max_frame_len`]: crate::ServerConfig::max_frame_len
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        Client::connect_with(addr, crate::frame::max_frame_len_from_env())
+        Client::connect_with(addr, DEFAULT_MAX_FRAME_LEN)
     }
 
     /// Connects a new session accepting response frames up to
     /// `max_frame` bytes — pass the serving
     /// [`ServerConfig::max_frame_len`](crate::ServerConfig::max_frame_len)
-    /// when it differs from the `CO_SERVER_MAX_FRAME` env default.
+    /// when it differs from [`DEFAULT_MAX_FRAME_LEN`].
     pub fn connect_with(addr: impl ToSocketAddrs, max_frame: u64) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr).map_err(ProtocolError::from)?;
         stream.set_nodelay(true).map_err(ProtocolError::from)?;

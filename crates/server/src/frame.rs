@@ -28,19 +28,6 @@ pub const FRAME_HEADER_LEN: usize = 12;
 /// `CO_SERVER_MAX_FRAME`.
 pub const DEFAULT_MAX_FRAME_LEN: u64 = 16 * 1024 * 1024;
 
-/// The frame-body cap requested by the `CO_SERVER_MAX_FRAME` environment
-/// variable (bytes); unset, unparsable, or zero mean
-/// [`DEFAULT_MAX_FRAME_LEN`].
-pub fn max_frame_len_from_env() -> u64 {
-    match std::env::var("CO_SERVER_MAX_FRAME")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => DEFAULT_MAX_FRAME_LEN,
-    }
-}
-
 /// Frames `body` into a standalone byte vector (header + body).
 ///
 /// # Panics
@@ -421,11 +408,5 @@ mod tests {
                 Err(_) => {} // header-stage rejection is fine too
             }
         }
-    }
-
-    #[test]
-    fn env_cap_parses_like_the_other_knobs() {
-        // Not an env-mutation test (process-wide state); just the parse.
-        assert_eq!(max_frame_len_from_env(), DEFAULT_MAX_FRAME_LEN);
     }
 }

@@ -9,27 +9,17 @@
 //! the store's immutable, never-recycled-id design makes this MVCC for
 //! free).
 //!
-//! ## Serving cores
+//! ## Serving core
 //!
-//! Two interchangeable I/O cores drive the same application layer
-//! ([`protocol::handle`]), selected by [`ServerConfig::core`] /
-//! `CO_SERVER_CORE`:
-//!
-//! - [`ServingCore::WorkerPool`] (default) — a readiness-driven reactor:
-//!   one thread `poll(2)`s the whole session fd set (nonblocking sockets,
-//!   the vendored `polling` shim — no async runtime), reassembles frames
-//!   incrementally, and feeds bounded per-session queues drained by a
-//!   fixed worker pool. Full queues pause the socket (TCP pushes back to
-//!   the client); a server-wide in-flight cap answers excess requests
-//!   with typed [`ErrorCode::Overloaded`] rejections instead of
-//!   collapsing.
-//! - [`ServingCore::ThreadPerSession`] — the classic one-thread-per
-//!   -connection core: simple, and the baseline the load generator
-//!   compares the pool against.
-//!
-//! Both cores share every session semantics: the MVCC contract, the
-//! typed-error protocol discipline, and shutdown that wakes and drains
-//! idle sessions (`active_sessions` reaches zero).
+//! One I/O core drives the application layer ([`protocol::handle`]): a
+//! readiness-driven reactor. One thread `poll(2)`s the whole session fd
+//! set (nonblocking sockets, the vendored `polling` shim — no async
+//! runtime), reassembles frames incrementally, and feeds bounded
+//! per-session queues drained by a fixed worker pool. Full queues pause
+//! the socket (TCP pushes back to the client); a server-wide in-flight
+//! cap answers excess requests with typed [`ErrorCode::Overloaded`]
+//! rejections instead of collapsing; shutdown closes every socket and
+//! joins the pool, so `active_sessions` reaches zero.
 //!
 //! ## Protocol
 //!
@@ -39,7 +29,7 @@
 //! truncation at any byte, any single bit flip, frames fragmented across
 //! readiness wakeups — yields a typed [`ProtocolError`], never a panic
 //! and never a silently-wrong reply (`tests/protocol_adversarial.rs`
-//! proves this exhaustively against both cores).
+//! proves this exhaustively).
 //!
 //! ## Serving a store
 //!
@@ -64,8 +54,7 @@
 //! | env | default | meaning |
 //! |---|---|---|
 //! | `CO_SERVER_ADDR` | `127.0.0.1:0` | listen address (`:0` = ephemeral port) |
-//! | `CO_SERVER_CORE` | `pool` | serving core: `pool` (reactor + workers) or `threaded` (thread per session) |
-//! | `CO_SERVER_WORKERS` | `0` (auto) | worker threads for the pool core; `0` = `max(2 × available_parallelism, 4)` (workers can park on the engine's writer mutex, so the pool oversubscribes the cores) |
+//! | `CO_SERVER_WORKERS` | `0` (auto) | worker threads; `0` = `max(2 × available_parallelism, 4)` (workers can park on the engine's writer mutex, so the pool oversubscribes the cores) |
 //! | `CO_SERVER_SESSION_QUEUE` | `16` | per-session queued-request bound; at the bound the socket stops being read (backpressure) |
 //! | `CO_SERVER_MAX_INFLIGHT` | `1024` | server-wide admitted-request cap; beyond it requests get a typed `Overloaded` rejection |
 //! | `CO_SERVER_MAX_SESSIONS` | `1024` | concurrent sessions before new connections are rejected with a typed `SessionLimit` error |
@@ -82,7 +71,7 @@
 //!
 //! ## Observability
 //!
-//! Every request on either core is stamped through its lifecycle
+//! Every request is stamped through its lifecycle
 //! (decoded → enqueued → dequeued → handled → written) into the global
 //! [`co_obs`] registry: `server.queue_wait_ns` / `server.handle_ns` /
 //! `server.write_ns` histograms plus the decode/handle/reject ledger
@@ -100,7 +89,6 @@ pub(crate) mod obs;
 mod pool;
 pub mod protocol;
 mod reactor;
-mod session;
 
 pub use client::{Advanced, Client, ClientError};
 pub use error::ProtocolError;
@@ -113,50 +101,6 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
-
-/// The thread-per-session accept loop's initial (and minimum) idle
-/// sleep; doubles while no connection arrives, up to [`ACCEPT_POLL_MAX`].
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
-/// Idle-backoff ceiling for the accept loop — also its worst-case
-/// shutdown reaction latency.
-const ACCEPT_POLL_MAX: Duration = Duration::from_millis(64);
-/// How long [`ServerHandle::shutdown`] waits for live sessions to finish
-/// their in-flight request after being woken and half-closed.
-const SHUTDOWN_DRAIN: Duration = Duration::from_secs(2);
-
-/// Which I/O core serves sessions (the application layer is shared).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServingCore {
-    /// Readiness-driven reactor + fixed worker pool with bounded
-    /// per-session queues, backpressure, and admission control.
-    #[default]
-    WorkerPool,
-    /// One blocking thread per connection (the PR 7 core, kept as the
-    /// comparison baseline).
-    ThreadPerSession,
-}
-
-impl ServingCore {
-    /// The core requested by `CO_SERVER_CORE`: `pool`/`worker-pool` or
-    /// `threaded`/`thread-per-session`; unset or unrecognized mean
-    /// [`ServingCore::WorkerPool`] (use [`ServerConfig::from_env`] for
-    /// the warning on unrecognized values).
-    pub fn from_env() -> ServingCore {
-        std::env::var("CO_SERVER_CORE")
-            .ok()
-            .and_then(|v| ServingCore::parse(&v))
-            .unwrap_or_default()
-    }
-
-    fn parse(v: &str) -> Option<ServingCore> {
-        match v.trim().to_ascii_lowercase().as_str() {
-            "pool" | "worker-pool" | "workers" => Some(ServingCore::WorkerPool),
-            "threaded" | "thread-per-session" | "threads" => Some(ServingCore::ThreadPerSession),
-            _ => None,
-        }
-    }
-}
 
 /// Listener configuration. [`ServerConfig::from_env`] reads the knobs
 /// documented at the crate root.
@@ -170,11 +114,7 @@ pub struct ServerConfig {
     pub max_sessions: usize,
     /// Per-frame body cap in bytes, enforced before allocation.
     pub max_frame_len: u64,
-    /// Which I/O core serves sessions. Defaults to the environment's
-    /// choice ([`ServingCore::from_env`]) so a whole test suite can be
-    /// re-run against either core without code changes.
-    pub core: ServingCore,
-    /// Worker threads for the pool core; `0` = auto
+    /// Worker threads; `0` = auto
     /// (`max(2 × available_parallelism, 4)` — oversubscribed because a
     /// worker running an `advance` parks on the engine's writer mutex,
     /// and writers must never be able to occupy the whole pool).
@@ -227,14 +167,11 @@ impl std::fmt::Display for ConfigWarning {
 }
 
 impl Default for ServerConfig {
-    /// Baseline knob values, with the `CO_SERVER_*` environment applied
-    /// on top (silently — [`ServerConfig::from_env`] is the constructor
-    /// that warns about rejected values). Reading the environment here
-    /// mirrors the engine's `Default` honoring `CO_ENGINE_THREADS`, and
-    /// lets a whole test suite be re-run against either core or any knob
-    /// setting without code changes.
+    /// The environment-free baseline: [`ServerConfig::from_vars`] with
+    /// nothing set. [`ServerConfig::from_env`] is the one constructor
+    /// that reads `CO_SERVER_*`.
     fn default() -> ServerConfig {
-        ServerConfig::from_vars(|key| std::env::var(key).ok()).0
+        ServerConfig::from_vars(|_| None).0
     }
 }
 
@@ -265,13 +202,12 @@ impl ServerConfig {
     /// the testable core. Returns the configuration plus the warnings
     /// for set-but-rejected values.
     pub fn from_vars(get: impl Fn(&str) -> Option<String>) -> (ServerConfig, Vec<ConfigWarning>) {
-        // The environment-free baseline (`Default` layers the env on top
-        // of this, so it cannot be written in terms of `Default`).
+        // The baseline `Default` returns (it calls this with nothing
+        // set, so it cannot be written in terms of `Default`).
         let mut cfg = ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             max_sessions: 1024,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            core: ServingCore::WorkerPool,
             workers: 0,
             session_queue: 16,
             max_inflight: 1024,
@@ -336,20 +272,10 @@ impl ServerConfig {
                 )),
             }
         }
-        if let Some(raw) = get("CO_SERVER_CORE") {
-            match ServingCore::parse(&raw) {
-                Some(core) => cfg.core = core,
-                None => warnings.push(ConfigWarning::new(
-                    "CO_SERVER_CORE",
-                    &raw,
-                    format!("expected \"pool\" or \"threaded\"; keeping {:?}", cfg.core),
-                )),
-            }
-        }
         (cfg, warnings)
     }
 
-    /// The worker count the pool core actually spawns: `workers`, or —
+    /// The worker count actually spawned: `workers`, or —
     /// when `0` (auto) — `max(2 × available_parallelism, 4)`. Workers
     /// are not purely CPU-bound: an `advance` parks its worker on the
     /// engine's writer mutex for the whole fixpoint, so a pool sized
@@ -392,14 +318,13 @@ pub(crate) fn classify_accept_error(e: &io::Error) -> AcceptDisposition {
     }
 }
 
-/// The serving front-end. [`Server::bind`] starts the chosen core and
+/// The serving front-end. [`Server::bind`] starts the reactor and
 /// returns a [`ServerHandle`]; there is no long-lived `Server` value.
 pub struct Server;
 
 impl Server {
-    /// Binds `config.addr` and starts serving sessions against `shared`
-    /// on [`ServerConfig::core`]. Reads are snapshot-isolated per the
-    /// [`co_engine::shared`] contract on either core.
+    /// Binds `config.addr` and starts serving sessions against `shared`.
+    /// Reads are snapshot-isolated per the [`co_engine::shared`] contract.
     pub fn bind(shared: SharedEngine, config: ServerConfig) -> io::Result<ServerHandle> {
         // Warm the dedicated GC collector thread (when `CO_GC_COLLECTOR`
         // enables it) before any session exists: the thread is otherwise
@@ -413,142 +338,40 @@ impl Server {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicUsize::new(0));
-        let (thread, wake) = match config.core {
-            ServingCore::ThreadPerSession => {
-                let registry = Arc::new(session::Registry::default());
-                let thread = {
-                    let shutdown = Arc::clone(&shutdown);
-                    let active = Arc::clone(&active);
-                    let registry = Arc::clone(&registry);
-                    thread::Builder::new()
-                        .name("co-server-accept".to_owned())
-                        .spawn(move || {
-                            accept_loop(listener, shared, config, shutdown, active, registry)
-                        })?
-                };
-                (thread, CoreWake::Threaded(registry))
-            }
-            ServingCore::WorkerPool => {
-                let waker = polling::Waker::new()?;
-                let pool_shared = Arc::new(pool::PoolShared::new(
-                    config.max_inflight,
-                    config.session_queue,
-                    waker,
-                ));
-                let thread = {
-                    let shutdown = Arc::clone(&shutdown);
-                    let active = Arc::clone(&active);
-                    let pool_shared = Arc::clone(&pool_shared);
-                    thread::Builder::new()
-                        .name("co-server-reactor".to_owned())
-                        .spawn(move || {
-                            reactor::run(listener, shared, &config, pool_shared, &shutdown, &active)
-                        })?
-                };
-                (thread, CoreWake::Pool(pool_shared))
-            }
+        let waker = polling::Waker::new()?;
+        let pool_shared = Arc::new(pool::PoolShared::new(
+            config.max_inflight,
+            config.session_queue,
+            waker,
+        ));
+        let thread = {
+            let shutdown = Arc::clone(&shutdown);
+            let active = Arc::clone(&active);
+            let pool_shared = Arc::clone(&pool_shared);
+            thread::Builder::new()
+                .name("co-server-reactor".to_owned())
+                .spawn(move || {
+                    reactor::run(listener, shared, &config, pool_shared, &shutdown, &active)
+                })?
         };
         Ok(ServerHandle {
             addr,
             shutdown,
             active,
             thread: Some(thread),
-            wake,
+            pool_shared,
         })
     }
 }
 
-/// Releases one claimed session slot on drop — even when the session
-/// thread unwinds from a panic mid-request.
+/// Releases one claimed session slot on drop — even when a worker
+/// unwinds from a panic mid-request.
 pub(crate) struct SlotGuard(pub(crate) Arc<AtomicUsize>);
 
 impl Drop for SlotGuard {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::AcqRel);
     }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: SharedEngine,
-    config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    registry: Arc<session::Registry>,
-) {
-    let mut idle_backoff = ACCEPT_POLL;
-    while !shutdown.load(Ordering::Acquire) {
-        // Drain everything queued, then sleep the current idle backoff.
-        let mut accepted_any = false;
-        loop {
-            match listener.accept() {
-                Ok((mut stream, _peer)) => {
-                    accepted_any = true;
-                    // Nagle + delayed ACK would put ~40ms under every
-                    // small request/response round-trip; the client side
-                    // already disables it (`client.rs`), the session side
-                    // must too.
-                    let _ = stream.set_nodelay(true);
-                    // Claim a session slot optimistically; hand it back if
-                    // over the cap (keeps the check race-free without a lock).
-                    if active.fetch_add(1, Ordering::AcqRel) >= config.max_sessions {
-                        active.fetch_sub(1, Ordering::AcqRel);
-                        session::send_session_limit(&mut stream, config.max_sessions);
-                        continue;
-                    }
-                    let shared = shared.clone();
-                    let registry = Arc::clone(&registry);
-                    // The guard owns the claimed slot: it decrements on
-                    // drop, so the slot is released whether the session
-                    // returns, unwinds from a panic, or the spawn itself
-                    // fails (the closure is dropped unrun) — a panicking
-                    // handler can never ratchet `active` up to the cap.
-                    let slot = SlotGuard(Arc::clone(&active));
-                    let max_frame = config.max_frame_len;
-                    // Default-size stacks: sessions run the recursive-descent
-                    // parser and interpreter on client-supplied text, and the
-                    // pages beyond what a session actually touches are never
-                    // committed, so thousands still coexist cheaply.
-                    let _ = thread::Builder::new()
-                        .name("co-server-session".to_owned())
-                        .spawn(move || {
-                            let _slot = slot;
-                            session::serve_session(stream, shared, max_frame, &registry);
-                        });
-                }
-                Err(e) => match classify_accept_error(&e) {
-                    AcceptDisposition::Idle => break,
-                    // Per-connection failures (peer reset mid-handshake,
-                    // fd pressure): keep serving the sessions that exist.
-                    AcceptDisposition::Transient => continue,
-                    AcceptDisposition::Fatal => {
-                        eprintln!(
-                            "co-server: listener failed fatally ({e}); accept loop \
-                             shutting down, existing sessions keep being served"
-                        );
-                        return;
-                    }
-                },
-            }
-        }
-        // Exponential idle backoff: an idle server polls at 1ms only
-        // briefly, then settles at ACCEPT_POLL_MAX instead of spinning at
-        // 1kHz forever; any accepted connection snaps it back.
-        if accepted_any {
-            idle_backoff = ACCEPT_POLL;
-        }
-        thread::sleep(idle_backoff);
-        idle_backoff = (idle_backoff * 2).min(ACCEPT_POLL_MAX);
-    }
-}
-
-/// How `shutdown` reaches the sessions of the running core.
-enum CoreWake {
-    /// Half-close every registered session stream so blocked reads wake.
-    Threaded(Arc<session::Registry>),
-    /// Nudge the reactor's self-pipe; it closes every socket and joins
-    /// the pool before its thread exits.
-    Pool(Arc<pool::PoolShared>),
 }
 
 /// A running server: its bound address and its shutdown lever. Dropping
@@ -558,7 +381,8 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
     thread: Option<thread::JoinHandle<()>>,
-    wake: CoreWake,
+    /// Shutdown nudges the reactor's self-pipe through this.
+    pool_shared: Arc<pool::PoolShared>,
 }
 
 impl ServerHandle {
@@ -573,29 +397,20 @@ impl ServerHandle {
         self.active.load(Ordering::Acquire)
     }
 
-    /// Stops accepting, wakes every session parked in a read (idle
-    /// sessions drain immediately — none is abandoned until process
-    /// exit), then waits (bounded) for in-flight requests to finish.
-    /// Returns the sessions still undrained at the deadline — `0` on a
-    /// clean shutdown, which tests assert.
+    /// Stops accepting and wakes the reactor, which closes every socket
+    /// (idle sessions drain immediately — none is abandoned until process
+    /// exit) and joins the worker pool before its thread exits. Returns
+    /// the sessions still undrained once it has — `0` on a clean
+    /// shutdown, which tests assert.
     pub fn shutdown(mut self) -> usize {
         self.shutdown_impl()
     }
 
     fn shutdown_impl(&mut self) -> usize {
         self.shutdown.store(true, Ordering::Release);
-        match &self.wake {
-            CoreWake::Threaded(registry) => registry.shutdown_all(),
-            CoreWake::Pool(pool_shared) => pool_shared.waker.wake(),
-        }
+        self.pool_shared.waker.wake();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
-        }
-        // The pool core drains synchronously before its thread exits; the
-        // threaded core's sessions wake on the half-close and drain here.
-        let deadline = Instant::now() + SHUTDOWN_DRAIN;
-        while self.active.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-            thread::sleep(ACCEPT_POLL);
         }
         self.active.load(Ordering::Acquire)
     }
@@ -628,7 +443,6 @@ mod config_tests {
             ("CO_SERVER_WORKERS", "3"),
             ("CO_SERVER_SESSION_QUEUE", "2"),
             ("CO_SERVER_MAX_INFLIGHT", "9"),
-            ("CO_SERVER_CORE", "threaded"),
             ("CO_SERVER_ADDR", "127.0.0.1:0"),
         ]));
         assert!(warnings.is_empty(), "{warnings:?}");
@@ -637,7 +451,6 @@ mod config_tests {
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.session_queue, 2);
         assert_eq!(cfg.max_inflight, 9);
-        assert_eq!(cfg.core, ServingCore::ThreadPerSession);
     }
 
     #[test]
@@ -645,20 +458,14 @@ mod config_tests {
         let (cfg, warnings) = ServerConfig::from_vars(vars(&[
             ("CO_SERVER_MAX_SESSIONS", "1k"),
             ("CO_SERVER_MAX_FRAME", "-5"),
-            ("CO_SERVER_CORE", "epoll"),
         ]));
-        let defaults = ServerConfig {
-            core: ServingCore::WorkerPool,
-            ..ServerConfig::default()
-        };
+        let defaults = ServerConfig::default();
         assert_eq!(cfg.max_sessions, defaults.max_sessions);
         assert_eq!(cfg.max_frame_len, defaults.max_frame_len);
-        assert_eq!(cfg.core, ServingCore::WorkerPool);
-        assert_eq!(warnings.len(), 3, "{warnings:?}");
+        assert_eq!(warnings.len(), 2, "{warnings:?}");
         for (warning, var, rejected) in [
             (&warnings[0], "CO_SERVER_MAX_SESSIONS", "1k"),
             (&warnings[1], "CO_SERVER_MAX_FRAME", "-5"),
-            (&warnings[2], "CO_SERVER_CORE", "epoll"),
         ] {
             assert_eq!(warning.variable, var);
             assert_eq!(warning.rejected, rejected);
@@ -690,7 +497,25 @@ mod config_tests {
         let (cfg, warnings) = ServerConfig::from_vars(|_| None);
         assert!(warnings.is_empty());
         assert_eq!(cfg.max_sessions, 1024);
-        assert_eq!(cfg.core, ServingCore::WorkerPool);
+    }
+
+    #[test]
+    fn default_is_the_environment_free_baseline() {
+        let (baseline, _) = ServerConfig::from_vars(|_| None);
+        let ServerConfig {
+            addr,
+            max_sessions,
+            max_frame_len,
+            workers,
+            session_queue,
+            max_inflight,
+        } = ServerConfig::default();
+        assert_eq!(addr, baseline.addr);
+        assert_eq!(max_sessions, baseline.max_sessions);
+        assert_eq!(max_frame_len, baseline.max_frame_len);
+        assert_eq!(workers, baseline.workers);
+        assert_eq!(session_queue, baseline.session_queue);
+        assert_eq!(max_inflight, baseline.max_inflight);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The serving layer's registry instruments, resolved once.
 //!
-//! Both cores stamp the same request lifecycle against the same names,
-//! so a [`co_obs::Snapshot`] reads identically whichever core served:
+//! The request lifecycle is stamped against these names:
 //!
 //! - `server.requests_decoded` — complete frame bodies taken off a
 //!   socket (the ledger's top line);
@@ -14,9 +13,7 @@
 //! - `server.inflight` — decoded minus (handled + rejected): zero at
 //!   quiesce, making `decoded == handled + rejected` checkable from a
 //!   snapshot alone;
-//! - `server.queue_wait_ns` — decode→dequeue (the pool core's
-//!   session-queue wait; ~0 on the threaded core, which stamps the same
-//!   points so the histograms stay comparable);
+//! - `server.queue_wait_ns` — decode→dequeue (the session-queue wait);
 //! - `server.handle_ns` / `server.write_ns` — time inside
 //!   `protocol::handle` / writing the response frame;
 //! - `server.write_stall_waits` — POLLOUT waits while a peer dawdled;
@@ -87,11 +84,11 @@ impl ServerInstruments {
 }
 
 /// One `server.request` span per served request when `CO_TRACE` is on:
-/// the decoded→dequeued→handled→written stamps as durations, plus which
-/// core served it. Callers pass `queue_wait` `None` on paths where the
-/// request never sat in a queue.
+/// the decoded→dequeued→handled→written stamps as durations. The `core`
+/// field is the constant `"pool"` (trace consumers key on it). Callers
+/// pass `queue_wait` `None` on paths where the request never sat in a
+/// queue.
 pub(crate) fn emit_request_span(
-    core: &'static str,
     session: u64,
     queue_wait: Option<Duration>,
     handle: Duration,
@@ -101,7 +98,7 @@ pub(crate) fn emit_request_span(
     co_obs::emit(
         "server.request",
         &[
-            ("core", FieldValue::Str(core)),
+            ("core", FieldValue::Str("pool")),
             ("session", FieldValue::U64(session)),
             (
                 "queue_wait_ns",

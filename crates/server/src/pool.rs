@@ -5,8 +5,7 @@
 //! enqueues them as [`Job`]s on the owning session's queue; workers pull
 //! whole sessions off a shared ready list and drain them — batching
 //! every request that arrived since the session's last wakeup — through
-//! the same [`protocol::handle`] the thread-per-session core uses, so
-//! the MVCC contract is untouched by the I/O rewrite.
+//! [`protocol::handle`], which alone carries the MVCC contract.
 //!
 //! Two invariants carry the core's correctness:
 //!
@@ -228,7 +227,7 @@ fn drain_session(shared: &PoolShared, entry: &SessionEntry) {
                             match handled {
                                 Ok(response) => response,
                                 // Only response rendering can fail: report
-                                // and poison, like the threaded core.
+                                // and poison the session.
                                 Err(e) => {
                                     close = true;
                                     Response::Error {
@@ -260,7 +259,6 @@ fn drain_session(shared: &PoolShared, entry: &SessionEntry) {
                     }
                     if co_obs::trace_enabled() {
                         obs::emit_request_span(
-                            "pool",
                             entry.id,
                             Some(queue_wait),
                             handle_elapsed.unwrap_or_default(),

@@ -188,10 +188,9 @@ pub enum Response {
 }
 
 /// The per-session serving state: everything a request needs beyond its
-/// own fields. Both serving cores — thread-per-session and the
-/// reactor/worker-pool — drive the same [`handle`] against one of these,
+/// own fields. The worker pool drives [`handle`] against one of these,
 /// which is what carries the MVCC contract (and every differential proof
-/// built on it) across the I/O-layer rewrite unchanged.
+/// built on it) independently of the I/O layer.
 pub struct SessionState {
     shared: SharedEngine,
     /// The snapshot pinned by a `Snapshot` request, if any. While held,

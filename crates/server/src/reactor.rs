@@ -23,10 +23,10 @@
 //! pool before exiting, so `active_sessions` provably drains to zero —
 //! no session is ever abandoned inside a blocked read.
 
-use crate::frame::FrameDecoder;
+use crate::frame::{write_frame, FrameDecoder};
 use crate::obs;
 use crate::pool::{Job, PoolShared, SessionEntry, WorkerPool};
-use crate::protocol::{ErrorCode, SessionState};
+use crate::protocol::{ErrorCode, Response, SessionState};
 use crate::{classify_accept_error, AcceptDisposition, ServerConfig, SlotGuard};
 use co_engine::SharedEngine;
 use polling::{PollFd, POLLIN};
@@ -214,7 +214,7 @@ fn accept_burst(
                 if active.load(Ordering::Acquire) >= config.max_sessions {
                     // Still blocking: the one-frame rejection fits any
                     // socket buffer.
-                    crate::session::send_session_limit(&mut stream, config.max_sessions);
+                    send_session_limit(&mut stream, config.max_sessions);
                     continue;
                 }
                 if stream.set_nonblocking(true).is_err() {
@@ -269,6 +269,16 @@ fn accept_burst(
             },
         }
     }
+}
+
+/// Writes the session-limit rejection on a connection that will not get a
+/// session.
+fn send_session_limit(stream: &mut TcpStream, max_sessions: usize) {
+    let resp = Response::Error {
+        code: ErrorCode::SessionLimit,
+        message: format!("server is at its session limit ({max_sessions})"),
+    };
+    let _ = write_frame(stream, &resp.encode());
 }
 
 /// Reads what the kernel has for one session, extracts complete frames,

@@ -1,7 +1,7 @@
 //! The observability contract, proven over the wire:
 //!
 //! - **Ledger invariants** — at quiesce (all clients gone, server shut
-//!   down) the request ledger balances on both cores:
+//!   down) the request ledger balances:
 //!   `server.requests_decoded == server.requests_handled +
 //!   server.requests_rejected` and the `server.inflight` gauge is back
 //!   to zero, checkable from the registry snapshot alone.
@@ -16,8 +16,8 @@
 //!   indexes, zero-count bucket) decodes to a typed [`ProtocolError`],
 //!   never a panic and never a silently-wrong snapshot.
 //! - **Trace battery** — with `CO_TRACE` routed to a file, a busy pass
-//!   over both cores (queries, advances, a GC'd engine run, decode
-//!   failures) emits only lines that parse as JSON objects.
+//!   (queries, advances, a GC'd engine run, decode failures) emits only
+//!   lines that parse as JSON objects.
 //!
 //! The co-obs registry and trace sink are process-global, so every test
 //! takes one shared lock: the assertions diff before/after snapshots and
@@ -26,7 +26,7 @@
 use co_engine::{Engine, SharedEngine};
 use co_parser::parse_object;
 use co_server::frame::encode_frame;
-use co_server::{Client, ProtocolError, Request, Response, Server, ServerConfig, ServingCore};
+use co_server::{Client, ProtocolError, Request, Response, Server, ServerConfig};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Mutex;
@@ -35,19 +35,12 @@ use std::sync::Mutex;
 /// servers' requests apart.
 static GLOBAL_OBS: Mutex<()> = Mutex::new(());
 
-fn seed_server(core: ServingCore) -> co_server::ServerHandle {
+fn seed_server() -> co_server::ServerHandle {
     let shared = SharedEngine::new(
         Engine::new(Default::default()),
         parse_object("[edge: {[s: a, t: b], [s: b, t: c]}]").unwrap(),
     );
-    Server::bind(
-        shared,
-        ServerConfig {
-            core,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap()
+    Server::bind(shared, ServerConfig::default()).unwrap()
 }
 
 /// One busy client pass: pings, a pinned query, an advance, and finally
@@ -78,10 +71,11 @@ fn busy_pass(handle: &co_server::ServerHandle) {
     drop(raw);
 }
 
-fn ledger_balances_on(core: ServingCore) {
+#[test]
+fn pool_ledger_balances_at_quiesce() {
     let _guard = GLOBAL_OBS.lock().unwrap();
     let before = co_obs::global().snapshot();
-    let handle = seed_server(core);
+    let handle = seed_server();
     busy_pass(&handle);
     assert_eq!(handle.shutdown(), 0);
     let after = co_obs::global().snapshot();
@@ -90,22 +84,19 @@ fn ledger_balances_on(core: ServingCore) {
     let decoded = delta.counter("server.requests_decoded").unwrap_or(0);
     let handled = delta.counter("server.requests_handled").unwrap_or(0);
     let rejected = delta.counter("server.requests_rejected").unwrap_or(0);
-    assert!(
-        decoded >= 6,
-        "{core:?}: expected a busy pass, saw {decoded}"
-    );
+    assert!(decoded >= 6, "expected a busy pass, saw {decoded}");
     assert_eq!(
         decoded,
         handled + rejected,
-        "{core:?}: ledger must balance at quiesce ({delta})"
+        "ledger must balance at quiesce ({delta})"
     );
-    assert!(rejected >= 1, "{core:?}: the 0x7f frame must be rejected");
+    assert!(rejected >= 1, "the 0x7f frame must be rejected");
     // The gauge is absolute (not a delta): zero means every decoded
     // request in the whole process history was handled or rejected.
     assert_eq!(
         after.gauge("server.inflight"),
         Some(0),
-        "{core:?}: in-flight gauge must return to zero at quiesce"
+        "in-flight gauge must return to zero at quiesce"
     );
 
     // Histogram/counter coherence: one handle_ns observation per handled
@@ -113,13 +104,13 @@ fn ledger_balances_on(core: ServingCore) {
     let handle_hist = delta.histogram("server.handle_ns").expect("handle_ns");
     assert_eq!(
         handle_hist.count, handled,
-        "{core:?}: handle_ns count must equal the handled counter"
+        "handle_ns count must equal the handled counter"
     );
     assert!(handle_hist.max >= handle_hist.min);
     let queue_hist = delta.histogram("server.queue_wait_ns").expect("queue_wait");
     assert!(
         queue_hist.count >= handled,
-        "{core:?}: every handled request passed through the queue stamp"
+        "every handled request passed through the queue stamp"
     );
 
     // Snapshot algebra: before + (after - before) == after.
@@ -136,23 +127,13 @@ fn ledger_balances_on(core: ServingCore) {
     assert_eq!(rebuilt_h.buckets, after_h.buckets);
 }
 
-#[test]
-fn pool_ledger_balances_at_quiesce() {
-    ledger_balances_on(ServingCore::WorkerPool);
-}
-
-#[test]
-fn threaded_ledger_balances_at_quiesce() {
-    ledger_balances_on(ServingCore::ThreadPerSession);
-}
-
 /// `Client::metrics` fetches the live registry over the wire, and the
 /// decoded snapshot is the server's: the request-lifecycle instruments
 /// the pass just exercised are present with consistent values.
 #[test]
 fn metrics_frame_reports_server_side_ledger_over_the_wire() {
     let _guard = GLOBAL_OBS.lock().unwrap();
-    let handle = seed_server(ServingCore::WorkerPool);
+    let handle = seed_server();
     let mut client = Client::connect(handle.addr()).unwrap();
     let first = client.metrics().unwrap();
     for _ in 0..5 {
@@ -236,7 +217,7 @@ fn corrupt_metrics_frames_are_typed_errors() {
 }
 
 /// The CO_TRACE battery: route the trace sink to a file, run a busy
-/// pass over both cores plus a GC'd engine advance, and assert every
+/// pass plus a GC'd engine advance, and assert every
 /// emitted line parses as a JSON object — the exactness CI relies on.
 #[test]
 fn trace_file_battery_emits_only_valid_json_lines() {
@@ -245,11 +226,9 @@ fn trace_file_battery_emits_only_valid_json_lines() {
     let _ = std::fs::remove_file(&path);
     co_obs::set_trace_output(co_obs::TraceOutput::File(path.clone()));
 
-    for core in [ServingCore::WorkerPool, ServingCore::ThreadPerSession] {
-        let handle = seed_server(core);
-        busy_pass(&handle);
-        assert_eq!(handle.shutdown(), 0);
-    }
+    let handle = seed_server();
+    busy_pass(&handle);
+    assert_eq!(handle.shutdown(), 0);
     // A config warning goes through the same sink as one JSON line.
     let (_cfg, warnings) =
         ServerConfig::from_vars(|key| (key == "CO_SERVER_MAX_FRAME").then(|| "-5".to_owned()));
@@ -280,9 +259,8 @@ fn trace_file_battery_emits_only_valid_json_lines() {
             "line {i} lacks the span shape: {line}"
         );
     }
-    // Both cores' request spans and the warn line made it.
+    // The request spans and the warn line made it.
     assert!(lines.iter().any(|l| l.contains("\"core\":\"pool\"")));
-    assert!(lines.iter().any(|l| l.contains("\"core\":\"threaded\"")));
     assert!(lines.iter().any(|l| l.contains("\"event\":\"warn\"")));
     assert!(lines
         .iter()

@@ -10,8 +10,7 @@ use co_engine::{Engine, SharedEngine};
 use co_parser::parse_object;
 use co_server::frame::{decode_frame, encode_frame, read_frame, DEFAULT_MAX_FRAME_LEN};
 use co_server::{
-    Client, ErrorCode, ProtocolError, Request, Response, Server, ServerConfig, ServingCore,
-    StatsDigest,
+    Client, ErrorCode, ProtocolError, Request, Response, Server, ServerConfig, StatsDigest,
 };
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -262,100 +261,92 @@ fn live_server_answers_corruption_with_typed_errors_and_survives() {
     handle.shutdown();
 }
 
-/// Split delivery: frames fragmented across many TCP segments (and so,
-/// on the pool core, across many readiness wakeups) must reassemble into
-/// exactly the same behavior as one-shot delivery — correct replies for
-/// valid frames, typed errors for corrupted ones, a typed truncation
-/// report for a peer that quits mid-frame. Run against both cores
-/// explicitly: the threaded core's blocking `read_exact` and the pool
-/// core's incremental `FrameDecoder` must be indistinguishable here.
+/// Split delivery: frames fragmented across many TCP segments (and so
+/// across many readiness wakeups of the incremental `FrameDecoder`) must
+/// reassemble into exactly the same behavior as one-shot delivery —
+/// correct replies for valid frames, typed errors for corrupted ones, a
+/// typed truncation report for a peer that quits mid-frame.
 #[test]
-fn fragmented_frames_reassemble_identically_on_both_cores() {
-    for core in [ServingCore::WorkerPool, ServingCore::ThreadPerSession] {
-        let shared = SharedEngine::new(
-            Engine::new(Default::default()),
-            parse_object("[edge: {[s: a, t: b]}]").unwrap(),
-        );
-        let config = ServerConfig {
-            core,
-            ..ServerConfig::default()
-        };
-        let handle = Server::bind(shared, config).unwrap();
-        let addr = handle.addr();
+fn fragmented_frames_reassemble_like_one_shot_delivery() {
+    let shared = SharedEngine::new(
+        Engine::new(Default::default()),
+        parse_object("[edge: {[s: a, t: b]}]").unwrap(),
+    );
+    let handle = Server::bind(shared, ServerConfig::default()).unwrap();
+    let addr = handle.addr();
 
-        // Dribble a frame `step` bytes at a time, pausing so fragments
-        // land in separate segments/wakeups rather than coalescing.
-        let write_fragmented = |stream: &mut TcpStream, raw: &[u8], step: usize| {
-            for chunk in raw.chunks(step) {
-                stream.write_all(chunk).unwrap();
-                stream.flush().unwrap();
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        };
-
-        let query_frame = encode_frame(
-            &Request::Query {
-                formula: "[edge: {[s: X, t: Y]}]".into(),
-            }
-            .encode(),
-        );
-
-        // Valid frame, byte-by-byte and in awkward chunk sizes: the reply
-        // must be a real Objects response, same as one-shot delivery.
-        for step in [1, 3, 7] {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.set_nodelay(true).unwrap();
-            write_fragmented(&mut stream, &query_frame, step);
-            let body = read_frame(&stream, DEFAULT_MAX_FRAME_LEN)
-                .unwrap()
-                .expect("a reply frame");
-            match Response::decode(&body).unwrap() {
-                Response::Objects { version, .. } => assert_eq!(version, 1, "{core:?}/{step}"),
-                other => panic!("{core:?} step {step}: wrong reply {other:?}"),
-            }
+    // Dribble a frame `step` bytes at a time, pausing so fragments
+    // land in separate segments/wakeups rather than coalescing.
+    let write_fragmented = |stream: &mut TcpStream, raw: &[u8], step: usize| {
+        for chunk in raw.chunks(step) {
+            stream.write_all(chunk).unwrap();
+            stream.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(1));
         }
+    };
 
-        // Corrupted frame (body bit flip), fragmented: still a typed
-        // Protocol error, detected only once the checksum can run.
-        let mut flipped = query_frame.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x10;
+    let query_frame = encode_frame(
+        &Request::Query {
+            formula: "[edge: {[s: X, t: Y]}]".into(),
+        }
+        .encode(),
+    );
+
+    // Valid frame, byte-by-byte and in awkward chunk sizes: the reply
+    // must be a real Objects response, same as one-shot delivery.
+    for step in [1, 3, 7] {
         let mut stream = TcpStream::connect(addr).unwrap();
-        write_fragmented(&mut stream, &flipped, 2);
-        stream.shutdown(Shutdown::Write).unwrap();
+        stream.set_nodelay(true).unwrap();
+        write_fragmented(&mut stream, &query_frame, step);
         let body = read_frame(&stream, DEFAULT_MAX_FRAME_LEN)
             .unwrap()
-            .expect("a typed error frame");
+            .expect("a reply frame");
         match Response::decode(&body).unwrap() {
-            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol, "{core:?}"),
-            other => panic!("{core:?}: silently-wrong reply {other:?}"),
+            Response::Objects { version, .. } => assert_eq!(version, 1, "step {step}"),
+            other => panic!("step {step}: wrong reply {other:?}"),
         }
-
-        // Peer quits mid-frame after fragmented delivery: typed truncation
-        // report, then close — never a hang, never silence.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write_fragmented(&mut stream, &query_frame[..query_frame.len() / 2], 2);
-        stream.shutdown(Shutdown::Write).unwrap();
-        let body = read_frame(&stream, DEFAULT_MAX_FRAME_LEN)
-            .unwrap()
-            .expect("a typed truncation report");
-        match Response::decode(&body).unwrap() {
-            Response::Error { code, message } => {
-                assert_eq!(code, ErrorCode::Protocol, "{core:?}");
-                assert!(message.contains("trunc"), "{core:?}: {message}");
-            }
-            other => panic!("{core:?}: silently-wrong reply {other:?}"),
-        }
-
-        // The server kept serving through all of it.
-        let mut client = Client::connect(addr).unwrap();
-        client.ping().unwrap();
-        assert_eq!(handle.shutdown(), 0, "{core:?}: drain to zero");
     }
+
+    // Corrupted frame (body bit flip), fragmented: still a typed
+    // Protocol error, detected only once the checksum can run.
+    let mut flipped = query_frame.clone();
+    let last = flipped.len() - 1;
+    flipped[last] ^= 0x10;
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_fragmented(&mut stream, &flipped, 2);
+    stream.shutdown(Shutdown::Write).unwrap();
+    let body = read_frame(&stream, DEFAULT_MAX_FRAME_LEN)
+        .unwrap()
+        .expect("a typed error frame");
+    match Response::decode(&body).unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
+        other => panic!("silently-wrong reply {other:?}"),
+    }
+
+    // Peer quits mid-frame after fragmented delivery: typed truncation
+    // report, then close — never a hang, never silence.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_fragmented(&mut stream, &query_frame[..query_frame.len() / 2], 2);
+    stream.shutdown(Shutdown::Write).unwrap();
+    let body = read_frame(&stream, DEFAULT_MAX_FRAME_LEN)
+        .unwrap()
+        .expect("a typed truncation report");
+    match Response::decode(&body).unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::Protocol);
+            assert!(message.contains("trunc"), "{message}");
+        }
+        other => panic!("silently-wrong reply {other:?}"),
+    }
+
+    // The server kept serving through all of it.
+    let mut client = Client::connect(addr).unwrap();
+    client.ping().unwrap();
+    assert_eq!(handle.shutdown(), 0, "drain to zero");
 }
 
 /// A well-formed frame carrying a pathologically nested formula must not
-/// recurse the session thread's parser off its stack (which would abort
+/// recurse a worker thread's parser off its stack (which would abort
 /// the whole process — an unauthenticated remote DoS). The parser's
 /// nesting cap types the failure as an ordinary `Parse` error and the
 /// session keeps serving.

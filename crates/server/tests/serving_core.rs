@@ -1,6 +1,4 @@
-//! Serving-core behavior proofs, run against both I/O cores where the
-//! behavior is shared and against the pool core alone where it is
-//! pool-specific:
+//! Serving-core behavior proofs:
 //!
 //! - the TCP_NODELAY regression: small request/response round-trips must
 //!   complete orders of magnitude under Nagle + delayed-ACK timescales
@@ -12,13 +10,12 @@
 //! - admission control: past the server-wide in-flight cap, requests get
 //!   typed [`ErrorCode::Overloaded`] rejections *in order*, and the
 //!   session survives to serve again once the load passes;
-//! - shutdown wakes idle sessions and drains `active_sessions` to zero
-//!   on both cores.
+//! - shutdown wakes idle sessions and drains `active_sessions` to zero.
 
 use co_engine::{Engine, SharedEngine};
 use co_parser::parse_object;
 use co_server::frame::{encode_frame, read_frame, DEFAULT_MAX_FRAME_LEN};
-use co_server::{Client, ErrorCode, Request, Response, Server, ServerConfig, ServingCore};
+use co_server::{Client, ErrorCode, Request, Response, Server, ServerConfig};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -31,18 +28,10 @@ fn seed_server(config: ServerConfig) -> co_server::ServerHandle {
     Server::bind(shared, config).unwrap()
 }
 
-fn config(core: ServingCore) -> ServerConfig {
-    ServerConfig {
-        core,
-        ..ServerConfig::default()
-    }
-}
-
 /// The Nagle regression. With `TCP_NODELAY` missing on the server side
 /// (the PR 7 bug), each small request/response round-trip can stall on
 /// Nagle + delayed-ACK (~40ms): 100 round-trips would take seconds.
-/// With it set on both sides, 100 round-trips are comfortably sub-second
-/// on either core.
+/// With it set on both sides, 100 round-trips are comfortably sub-second.
 #[test]
 fn small_round_trips_complete_well_under_nagle_timescales() {
     const ROUND_TRIPS: u32 = 100;
@@ -50,21 +39,19 @@ fn small_round_trips_complete_well_under_nagle_timescales() {
     // server does them in single-digit milliseconds total. The bar leaves
     // two orders of magnitude of CI-noise headroom on each side.
     const BUDGET: Duration = Duration::from_secs(2);
-    for core in [ServingCore::WorkerPool, ServingCore::ThreadPerSession] {
-        let handle = seed_server(config(core));
-        let mut client = Client::connect(handle.addr()).unwrap();
-        client.ping().unwrap(); // connection + first-touch warmup
-        let started = Instant::now();
-        for _ in 0..ROUND_TRIPS {
-            client.ping().unwrap();
-        }
-        let elapsed = started.elapsed();
-        assert!(
-            elapsed < BUDGET,
-            "{core:?}: {ROUND_TRIPS} round-trips took {elapsed:?} — Nagle-class stalls"
-        );
-        assert_eq!(handle.shutdown(), 0);
+    let handle = seed_server(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.ping().unwrap(); // connection + first-touch warmup
+    let started = Instant::now();
+    for _ in 0..ROUND_TRIPS {
+        client.ping().unwrap();
     }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < BUDGET,
+        "{ROUND_TRIPS} round-trips took {elapsed:?} — Nagle-class stalls"
+    );
+    assert_eq!(handle.shutdown(), 0);
 }
 
 /// Pipelining through backpressure: with a session queue bound of 2, a
@@ -76,7 +63,7 @@ fn pipelined_burst_keeps_order_through_backpressure_pauses() {
     const BURST: usize = 48;
     let handle = seed_server(ServerConfig {
         session_queue: 2,
-        ..config(ServingCore::WorkerPool)
+        ..ServerConfig::default()
     });
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
@@ -131,7 +118,7 @@ fn over_the_inflight_cap_requests_get_typed_overloaded_rejections() {
         ServerConfig {
             max_inflight: 1,
             session_queue: 64,
-            ..config(ServingCore::WorkerPool)
+            ..ServerConfig::default()
         },
     )
     .unwrap();
@@ -179,29 +166,26 @@ fn over_the_inflight_cap_requests_get_typed_overloaded_rejections() {
     assert_eq!(handle.shutdown(), 0);
 }
 
-/// Shutdown wakes sessions parked in idle reads on both cores: the
-/// session counter provably drains to zero instead of leaking slots
-/// until process exit (the PR 7 bug on the threaded core).
+/// Shutdown wakes sessions parked in idle reads: the session counter
+/// provably drains to zero instead of leaking slots until process exit.
 #[test]
-fn shutdown_wakes_and_drains_idle_sessions_on_both_cores() {
-    for core in [ServingCore::WorkerPool, ServingCore::ThreadPerSession] {
-        let handle = seed_server(config(core));
-        let clients: Vec<Client> = (0..3)
-            .map(|_| {
-                let mut c = Client::connect(handle.addr()).unwrap();
-                c.ping().unwrap();
-                c
-            })
-            .collect();
-        // All three sessions are now idle, parked waiting for a frame.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while handle.active_sessions() < 3 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(handle.active_sessions(), 3, "{core:?}");
-        assert_eq!(handle.shutdown(), 0, "{core:?}: idle sessions must drain");
-        drop(clients);
+fn shutdown_wakes_and_drains_idle_sessions() {
+    let handle = seed_server(ServerConfig::default());
+    let clients: Vec<Client> = (0..3)
+        .map(|_| {
+            let mut c = Client::connect(handle.addr()).unwrap();
+            c.ping().unwrap();
+            c
+        })
+        .collect();
+    // All three sessions are now idle, parked waiting for a frame.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while handle.active_sessions() < 3 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
     }
+    assert_eq!(handle.active_sessions(), 3);
+    assert_eq!(handle.shutdown(), 0, "idle sessions must drain");
+    drop(clients);
 }
 
 /// The worker count knob is honored exactly: a pool told `workers: 1`
@@ -211,7 +195,7 @@ fn shutdown_wakes_and_drains_idle_sessions_on_both_cores() {
 fn a_single_worker_still_serves_many_sessions() {
     let handle = seed_server(ServerConfig {
         workers: 1,
-        ..config(ServingCore::WorkerPool)
+        ..ServerConfig::default()
     });
     let threads: Vec<_> = (0..4)
         .map(|_| {

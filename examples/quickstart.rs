@@ -92,9 +92,8 @@ fn main() {
     // 6. The hash-consed store behind it all: every composite built above
     //    was interned (canonical equality = pointer equality), and the
     //    lattice operations were memoized. The counters tell the story;
-    //    shrink the memo capacity with CO_MEMO_SHARD_CAP, switch eviction
-    //    with CO_MEMO_POLICY, or force parallel evaluation with
-    //    CO_ENGINE_THREADS to watch them change.
+    //    shrink the memo capacity with CO_MEMO_SHARD_CAP or force
+    //    parallel evaluation with CO_ENGINE_THREADS to watch them change.
     // -----------------------------------------------------------------
     println!("\n{}", complex_objects::object::store::stats());
 

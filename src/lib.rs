@@ -51,7 +51,7 @@
 //!   `Engine::restore_chain` build on it, auto-selecting deltas while a
 //!   checkpoint chain is live.
 //! - [`server`] (`crates/server`, `co_server`) — the multi-client serving
-//!   layer: a threaded TCP front-end over one
+//!   layer: a reactor + worker-pool TCP front-end over one
 //!   [`engine::SharedEngine`], where each session reads against a pinned
 //!   snapshot (bit-identical to a single-threaded run quiesced at that
 //!   version) while writers advance the head, and results ship back as

@@ -13,7 +13,9 @@
 //!   bit-identical to a never-collected baseline, same as `gc_soak.rs`
 //!   proves for the default budget;
 //! - **the collector thread preserves all of the above** while taking
-//!   collection off the calling thread's trigger path.
+//!   autonomous collection off the calling thread's trigger path;
+//!   explicit `collect()` calls still sweep on the caller's thread,
+//!   serialised with the collector by the GC gate.
 //!
 //! Tests serialize on one mutex (collection and the registry histograms
 //! are process-wide) and restore every knob they touch.
@@ -215,7 +217,7 @@ fn tiny_budget_fixpoints_stay_bit_identical() {
 /// The collector thread, end to end: high-water churn on worker threads
 /// is reclaimed by the dedicated thread with every pause budgeted, and an
 /// explicit `collect()` stays synchronous (its `SweepStats` reflect the
-/// cycle the caller waited for).
+/// cycle the caller ran).
 #[test]
 fn collector_thread_bounds_pauses_and_keeps_collect_synchronous() {
     let _g = soak_lock();
@@ -262,7 +264,7 @@ fn collector_thread_bounds_pauses_and_keeps_collect_synchronous() {
     store::set_gc_high_water(0);
 
     // Synchronous tail collection mops up whatever the last nudge missed;
-    // the call must block until the collector's cycle finishes.
+    // it runs inline, queued behind any collector cycle still in flight.
     let sweep = store::collect();
     let after = store::stats();
     assert!(
@@ -277,11 +279,11 @@ fn collector_thread_bounds_pauses_and_keeps_collect_synchronous() {
     // `passes >= 1` proves the caller got a *completed cycle's* stats
     // back (a default/empty `SweepStats` has 0 passes). `examined` can
     // legitimately be 0 here: the collector's last nudge-driven cycle may
-    // have already reclaimed every transient before this call took its
-    // ticket.
+    // have already reclaimed every transient before this call took the
+    // gate.
     assert!(
         sweep.passes >= 1,
-        "a synchronous collect through the collector returns real stats"
+        "a synchronous collect with the collector on returns real stats"
     );
 
     let pauses = pause_window(&before_snap);
@@ -296,5 +298,47 @@ fn collector_thread_bounds_pauses_and_keeps_collect_synchronous() {
         pauses.max,
         bound_ns,
         pauses.count
+    );
+}
+
+/// Explicit collection with the collector on and a high-water mark armed:
+/// two threads calling `collect()` at once each sweep on their own
+/// thread, serialised by the GC gate (there is no ticket queue) — both
+/// get a completed cycle's stats back and the sweep counter advances once
+/// per call.
+#[test]
+fn concurrent_explicit_collects_serialise_on_the_gate() {
+    let _g = soak_lock();
+    let _knobs = KnobGuard::capture();
+    store::set_gc_collector(true);
+    // Armed but out of reach: the collector thread is live and pacing,
+    // yet every sweep counted below is an explicit one.
+    store::set_gc_high_water(store::live_nodes() + 10_000_000);
+    let before = store::stats();
+    let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let callers: Vec<_> = (0..2)
+        .map(|_| {
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                store::collect()
+            })
+        })
+        .collect();
+    let sweeps: Vec<_> = callers.into_iter().map(|c| c.join().unwrap()).collect();
+    store::set_gc_high_water(0);
+    let after = store::stats();
+
+    for sweep in &sweeps {
+        assert!(sweep.passes >= 1, "each caller ran a whole cycle: {sweep}");
+    }
+    assert!(
+        after.gc_sweeps - before.gc_sweeps >= 2,
+        "one sweep per explicit call, got {}",
+        after.gc_sweeps - before.gc_sweeps
+    );
+    assert_eq!(
+        after.gc_auto_triggers, before.gc_auto_triggers,
+        "the mark was never crossed, so no cycle was autonomous"
     );
 }

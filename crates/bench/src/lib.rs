@@ -1,9 +1,7 @@
-//! # co-bench — workloads and harnesses for the experiment suite
+//! # co-bench — shared workloads
 //!
-//! Shared workload builders used by the Criterion benches (`benches/`),
-//! the `experiments` binary (paper-example tables E1–E12), and the
-//! `figures` binary (measured series F1–F7). See EXPERIMENTS.md at the
-//! workspace root for the experiment index.
+//! Workload builders used by the Criterion benches (`benches/`) and the
+//! benchmark spine (`benchspine/`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -11,8 +9,6 @@
 use co_calculus::Program;
 use co_object::{Attr, Object};
 use co_parser::parse_program;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 /// A flat integer relation `{[k: i, v: i % classes], …}` with `rows` rows.
 /// `classes` controls join/selection selectivity.
@@ -32,26 +28,6 @@ pub fn join_db(rows: i64, classes: i64) -> Object {
         (Attr::new("r1"), flat_relation(rows, classes, "a", "b")),
         (Attr::new("r2"), flat_relation(rows, classes, "c", "d")),
     ])
-}
-
-/// The equivalent `co_relational` database for baseline comparison.
-pub fn join_db_flat(rows: i64, classes: i64) -> co_relational::Database {
-    let mut db = co_relational::Database::new();
-    db.insert(
-        "r1",
-        co_relational::int_relation(
-            ["a", "b"],
-            (0..rows).map(|i| [i, i % classes]).collect::<Vec<_>>(),
-        ),
-    );
-    db.insert(
-        "r2",
-        co_relational::int_relation(
-            ["c", "d"],
-            (0..rows).map(|i| [i, i % classes]).collect::<Vec<_>>(),
-        ),
-    );
-    db
 }
 
 /// A family chain `p0 → p1 → … → pn` (worst case for naive evaluation:
@@ -119,32 +95,6 @@ pub fn multi_descendants_program(roots: &[&str]) -> Program {
     parse_program(&text).expect("generated program parses")
 }
 
-/// A set with heavy domination (every element `[k: i]` is dominated by a
-/// `[k: i, extra: 1]` sibling) — worst-ish case for reduction.
-pub fn redundant_set(n: i64) -> Vec<Object> {
-    let mut v: Vec<Object> = Vec::with_capacity((2 * n) as usize);
-    for i in 0..n {
-        v.push(Object::tuple([(Attr::new("k"), Object::int(i))]));
-        v.push(Object::tuple([
-            (Attr::new("k"), Object::int(i)),
-            (Attr::new("extra"), Object::int(1)),
-        ]));
-    }
-    v
-}
-
-/// An antichain (no element dominates another) of `n` flat tuples.
-pub fn antichain_set(n: i64) -> Vec<Object> {
-    (0..n)
-        .map(|i| {
-            Object::tuple([
-                (Attr::new("k"), Object::int(i)),
-                (Attr::new("v"), Object::int(i)),
-            ])
-        })
-        .collect()
-}
-
 /// Deterministic random objects for order/lattice scaling benches.
 pub fn random_objects(seed: u64, depth: u32, fanout: usize, n: usize) -> Vec<Object> {
     let mut g = co_object::random::Generator::new(
@@ -160,26 +110,6 @@ pub fn random_objects(seed: u64, depth: u32, fanout: usize, n: usize) -> Vec<Obj
     g.objects(n)
 }
 
-/// A printable object source of roughly `target_bytes` bytes (for parser
-/// throughput benches).
-pub fn object_text(seed: u64, target_bytes: usize) -> String {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut rows = Vec::new();
-    let mut size = 0usize;
-    while size < target_bytes {
-        let row = format!(
-            "[name: p{}, score: {}, tags: {{t{}, t{}}}]",
-            rng.random_range(0..100_000),
-            rng.random_range(0..1000),
-            rng.random_range(0..50),
-            rng.random_range(0..50),
-        );
-        size += row.len() + 2;
-        rows.push(row);
-    }
-    format!("{{{}}}", rows.join(", "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,27 +123,6 @@ mod tests {
         let db = join_db(50, 5);
         assert_eq!(db.dot("r1").as_set().unwrap().len(), 50);
         assert_eq!(chain_family(10).dot("family").as_set().unwrap().len(), 10);
-        assert_eq!(redundant_set(10).len(), 20);
-        assert_eq!(antichain_set(10).len(), 10);
-        assert!(object_text(1, 1000).len() >= 1000);
         assert_eq!(random_objects(7, 3, 3, 5).len(), 5);
-    }
-
-    #[test]
-    fn redundant_set_reduces_to_half() {
-        let s = Object::set(redundant_set(20));
-        assert_eq!(s.as_set().unwrap().len(), 20);
-    }
-
-    #[test]
-    fn antichain_survives_reduction() {
-        let s = Object::set(antichain_set(20));
-        assert_eq!(s.as_set().unwrap().len(), 20);
-    }
-
-    #[test]
-    fn generated_text_parses() {
-        let text = object_text(3, 2000);
-        assert!(co_parser::parse_object(&text).is_ok());
     }
 }

@@ -103,9 +103,8 @@ pub enum Strategy {
 /// any [`Strategy`] and [`ClosureMode`], the parallel engine produces the
 /// same fixpoint (down to interned `NodeId` identity) and the same trace
 /// as sequential evaluation. [`Engine::new`] starts from
-/// [`Parallelism::from_env`]: [`Parallelism::Auto`] (size the pool to the
-/// machine) unless the `CO_ENGINE_THREADS` environment variable requests
-/// an explicit count.
+/// [`Parallelism::Auto`] (size the pool to the machine); choose another
+/// degree with [`Engine::parallelism`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Parallelism {
     /// Apply rules one after another on the calling thread.
@@ -133,13 +132,13 @@ pub enum Parallelism {
 /// evaluation.
 ///
 /// The cadence decides *when* the engine requests a sweep; *how* the
-/// sweep runs is the store's affair. Under `CO_GC_PAUSE_BUDGET_US` the
-/// cycle is sliced so interner locks are never held longer than the
-/// budget, and when the dedicated collector thread is on
-/// (`CO_GC_COLLECTOR=1`) the engine's `store::collect` call delegates to
-/// it — still synchronous (the call returns after a full cycle), so
+/// sweep runs is the store's affair: the cycle is sliced so interner
+/// locks are never held much longer than `store::gc_pause_budget_us`.
+/// The engine's `store::collect` call always sweeps on the calling thread
+/// and returns after a full cycle; when the store's collector thread is
+/// on, the two are serialised by the store's collect gate. So
 /// `gc_sweeps`/`gc_freed_nodes` accounting and the differential oracle
-/// are unchanged in either mode.
+/// are the same in either mode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum GcCadence {
     /// Never collect during a run: the seed behaviour, right for short
@@ -152,21 +151,6 @@ pub enum GcCadence {
 }
 
 impl GcCadence {
-    /// The cadence requested by the `CO_GC_EVERY_ROUND` environment
-    /// variable: unset, unparsable, or `0` mean [`GcCadence::Off`]; `n ≥ 1`
-    /// means [`GcCadence::EveryRounds`]`(n)`. So `CO_GC_EVERY_ROUND=1
-    /// cargo test` runs an entire suite with collection forced after every
-    /// round, without code changes.
-    pub fn from_env() -> GcCadence {
-        match std::env::var("CO_GC_EVERY_ROUND")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-        {
-            Some(n) if n >= 1 => GcCadence::EveryRounds(n),
-            _ => GcCadence::Off,
-        }
-    }
-
     /// True when a collection should run after iteration `iteration`.
     fn fires_after(self, iteration: u64) -> bool {
         match self {
@@ -177,29 +161,6 @@ impl GcCadence {
 }
 
 impl Parallelism {
-    /// The parallelism requested by the `CO_ENGINE_THREADS` environment
-    /// variable: `0` selects [`Auto`] explicitly, `1` means
-    /// [`Sequential`], `n ≥ 2` means [`Threads`]`(n)`, and unset or
-    /// unparsable fall back to the adaptive default [`Auto`]. This is what
-    /// [`Engine::new`] starts from, so `CO_ENGINE_THREADS=4 cargo test`
-    /// runs an entire suite in parallel mode — and `CO_ENGINE_THREADS=1`
-    /// pins it sequential — without code changes.
-    ///
-    /// [`Auto`]: Parallelism::Auto
-    /// [`Sequential`]: Parallelism::Sequential
-    /// [`Threads`]: Parallelism::Threads
-    pub fn from_env() -> Parallelism {
-        match std::env::var("CO_ENGINE_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(0) => Parallelism::Auto,
-            Some(1) => Parallelism::Sequential,
-            Some(n) => Parallelism::Threads(n),
-            None => Parallelism::Auto,
-        }
-    }
-
     /// Effective worker count: 1 for sequential execution; for [`Auto`],
     /// whatever [`std::thread::available_parallelism`] reports (1 when
     /// even that is unknowable).
@@ -271,8 +232,7 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine with the default configuration: semi-naive,
     /// inflationary, strict matching, indexes on, default guard, no trace,
-    /// parallelism from the environment ([`Parallelism::from_env`]), GC
-    /// cadence from the environment ([`GcCadence::from_env`]).
+    /// [`Parallelism::Auto`], [`GcCadence::Off`].
     pub fn new(program: Program) -> Engine {
         Engine {
             program,
@@ -282,8 +242,8 @@ impl Engine {
             guard: Guard::default(),
             use_indexes: true,
             tracing: false,
-            parallelism: Parallelism::from_env(),
-            gc: GcCadence::from_env(),
+            parallelism: Parallelism::default(),
+            gc: GcCadence::default(),
             chain: std::sync::Arc::new(std::sync::Mutex::new(None)),
         }
     }

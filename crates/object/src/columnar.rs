@@ -13,12 +13,12 @@
 //! [`Set::elements`](crate::Set::elements).
 //!
 //! Arenas are built lazily ([`arena_for`]) once a set's cardinality
-//! crosses [`columnar_min_rows`] (env `CO_COLUMNAR_MIN_ROWS`, default
-//! 64) and are memoized per [`NodeId`] — sound for the same reason the
-//! store's memo tables are: interned nodes are immutable and ids are
-//! never recycled, so an id names one set value forever. Negative
-//! answers (the set is not a flat uniform relation) are memoized too,
-//! so repeated probes of ineligible sets stay O(1).
+//! crosses [`columnar_min_rows`] (default 64, see
+//! [`set_columnar_min_rows`]) and are memoized per [`NodeId`] — sound
+//! for the same reason the store's memo tables are: interned nodes are
+//! immutable and ids are never recycled, so an id names one set value
+//! forever. Negative answers (the set is not a flat uniform relation)
+//! are memoized too, so repeated probes of ineligible sets stay O(1).
 //! [`collect`](crate::store::collect) purges entries keyed by freed ids.
 //!
 //! **Canonical at the boundary.** The arena is a read-only cache; every
@@ -61,29 +61,20 @@ use std::sync::{Arc, OnceLock};
 /// bookkeeping costs more than dense scans save.
 pub const DEFAULT_COLUMNAR_MIN_ROWS: usize = 64;
 
-/// The current row-count threshold for [`arena_for`] (initialized from
-/// `CO_COLUMNAR_MIN_ROWS`, default [`DEFAULT_COLUMNAR_MIN_ROWS`]).
+/// The current row-count threshold for [`arena_for`] (default
+/// [`DEFAULT_COLUMNAR_MIN_ROWS`]; see [`set_columnar_min_rows`]).
 pub fn columnar_min_rows() -> usize {
-    min_rows_cell().load(Ordering::Relaxed)
+    MIN_ROWS.load(Ordering::Relaxed)
 }
 
 /// Adjusts the [`arena_for`] row-count threshold at runtime (tests and
 /// embedders). A threshold of 0 or 1 builds an arena for every eligible
 /// non-empty set.
 pub fn set_columnar_min_rows(rows: usize) {
-    min_rows_cell().store(rows, Ordering::Relaxed);
+    MIN_ROWS.store(rows, Ordering::Relaxed);
 }
 
-fn min_rows_cell() -> &'static AtomicUsize {
-    static CELL: OnceLock<AtomicUsize> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let rows = std::env::var("CO_COLUMNAR_MIN_ROWS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_COLUMNAR_MIN_ROWS);
-        AtomicUsize::new(rows)
-    })
-}
+static MIN_ROWS: AtomicUsize = AtomicUsize::new(DEFAULT_COLUMNAR_MIN_ROWS);
 
 /// The dense columnar image of one flat relation: per-attribute column
 /// vectors plus the shared schema header.

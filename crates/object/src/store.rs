@@ -51,7 +51,7 @@
 //! values forever. Only comparisons of *large* nodes (see
 //! [`MEMO_MIN_SIZE`]) are memoized: small comparisons are cheaper than a
 //! lock round-trip. The tables are sharded by key hash like the interner,
-//! and bounded by `CO_MEMO_SHARD_CAP` entries per shard. Eviction is
+//! and bounded by [`memo_shard_cap`] entries per shard. Eviction is
 //! **second chance** ([`MemoPolicy::SecondChance`]): each shard keeps its
 //! keys on a clock ring with a referenced bit that lookups set, and a
 //! full shard evicts the first un-referenced (cold) key instead of
@@ -566,41 +566,16 @@ const MEMO_SHARD_COUNT: usize = 16;
 /// reaching its share of this capacity evicts by second chance.
 const MEMO_CAP: usize = 1 << 20;
 
-/// Sentinel meaning "capacity not yet initialized from the environment".
-const MEMO_CAP_UNSET: usize = 0;
-
-/// Per-shard memo capacity, runtime-adjustable. Initialized lazily from
-/// the `CO_MEMO_SHARD_CAP` environment variable (default
-/// `MEMO_CAP / MEMO_SHARD_COUNT`).
+/// Per-shard memo capacity, runtime-adjustable.
 static MEMO_SHARD_CAP: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(MEMO_CAP_UNSET);
+    std::sync::atomic::AtomicUsize::new(MEMO_CAP / MEMO_SHARD_COUNT);
 
 /// Per-shard memo capacity: a tuning knob for memory-tight deployments and
 /// a lever for tests and benchmarks that need to exercise the eviction
-/// path cheaply. See [`set_memo_shard_cap`].
+/// path cheaply. Defaults to `MEMO_CAP / MEMO_SHARD_COUNT`; see
+/// [`set_memo_shard_cap`].
 pub fn memo_shard_cap() -> usize {
-    match MEMO_SHARD_CAP.load(Ordering::Relaxed) {
-        MEMO_CAP_UNSET => {
-            let cap = std::env::var("CO_MEMO_SHARD_CAP")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|cap| *cap > 0)
-                .unwrap_or(MEMO_CAP / MEMO_SHARD_COUNT);
-            // Only initialize from UNSET: a concurrent explicit
-            // `set_memo_shard_cap` must not be clobbered by the lazy
-            // env default.
-            match MEMO_SHARD_CAP.compare_exchange(
-                MEMO_CAP_UNSET,
-                cap,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => cap,
-                Err(set_concurrently) => set_concurrently,
-            }
-        }
-        cap => cap,
-    }
+    MEMO_SHARD_CAP.load(Ordering::Relaxed)
 }
 
 /// Overrides the per-shard memo capacity at runtime (values below 1 are
@@ -1094,12 +1069,8 @@ static GC_NUDGE_PENDING: std::sync::atomic::AtomicBool = std::sync::atomic::Atom
 // Size-triggered collection: the high-water mark
 // ---------------------------------------------------------------------------
 
-/// Sentinel meaning "high-water mark not yet initialized from the
-/// environment".
-const GC_HIGH_WATER_UNSET: u64 = u64::MAX;
-
 /// The configured high-water mark (`0` = automatic collection disabled).
-static GC_HIGH_WATER: AtomicU64 = AtomicU64::new(GC_HIGH_WATER_UNSET);
+static GC_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
 
 /// The live-node count at which the next automatic collection fires
 /// (`u64::MAX` = never). Re-armed with hysteresis after every auto sweep.
@@ -1109,34 +1080,9 @@ static GC_NEXT_AUTO: AtomicU64 = AtomicU64::new(u64::MAX);
 /// live-node count past it, the store runs [`collect`] automatically
 /// (counted in [`StoreStats::gc_auto_triggers`]). `0` means disabled.
 ///
-/// Initialized lazily from the `CO_GC_HIGH_WATER` environment variable
-/// (default: disabled); override at runtime with [`set_gc_high_water`].
+/// Defaults to `0` (disabled); set it with [`set_gc_high_water`].
 pub fn gc_high_water() -> u64 {
-    match GC_HIGH_WATER.load(Ordering::Relaxed) {
-        GC_HIGH_WATER_UNSET => {
-            let hw = std::env::var("CO_GC_HIGH_WATER")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .unwrap_or(0);
-            // Only initialize from UNSET: a concurrent explicit
-            // `set_gc_high_water` must not be clobbered by the env default.
-            match GC_HIGH_WATER.compare_exchange(
-                GC_HIGH_WATER_UNSET,
-                hw,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    if hw > 0 {
-                        GC_NEXT_AUTO.store(hw, Ordering::Relaxed);
-                    }
-                    hw
-                }
-                Err(set_concurrently) => set_concurrently,
-            }
-        }
-        hw => hw,
-    }
+    GC_HIGH_WATER.load(Ordering::Relaxed)
 }
 
 /// Sets the high-water mark: once more than `nodes` interned nodes are
@@ -1164,10 +1110,6 @@ pub fn set_gc_high_water(nodes: u64) {
 // Pause budget: incremental (sliced) sweeps
 // ---------------------------------------------------------------------------
 
-/// Sentinel meaning "pause budget not yet initialized from the
-/// environment".
-const GC_PAUSE_BUDGET_UNSET: u64 = u64::MAX;
-
 /// Default per-slice pause budget in microseconds (~2ms): long enough to
 /// amortize the slice bookkeeping, short enough that a request thread
 /// parked behind a shard lock never waits a full stop-the-world sweep.
@@ -1175,7 +1117,7 @@ pub const GC_PAUSE_BUDGET_DEFAULT_US: u64 = 2_000;
 
 /// The configured per-slice pause budget in µs (`0` = unbudgeted: one
 /// stop-the-world slice, the pre-PR-10 behaviour).
-static GC_PAUSE_BUDGET_US: AtomicU64 = AtomicU64::new(GC_PAUSE_BUDGET_UNSET);
+static GC_PAUSE_BUDGET_US: AtomicU64 = AtomicU64::new(GC_PAUSE_BUDGET_DEFAULT_US);
 
 /// The per-slice GC pause budget in microseconds. A [`collect`] cycle
 /// sweeps the interner in **slices**: once a slice has run for this long,
@@ -1185,51 +1127,24 @@ static GC_PAUSE_BUDGET_US: AtomicU64 = AtomicU64::new(GC_PAUSE_BUDGET_UNSET);
 /// matter how large the store is. `0` disables slicing (single
 /// stop-the-world slice per cycle).
 ///
-/// Initialized lazily from the `CO_GC_PAUSE_BUDGET_US` environment
-/// variable (default [`GC_PAUSE_BUDGET_DEFAULT_US`]); override at runtime
-/// with [`set_gc_pause_budget_us`].
+/// Defaults to [`GC_PAUSE_BUDGET_DEFAULT_US`]; override at runtime with
+/// [`set_gc_pause_budget_us`].
 pub fn gc_pause_budget_us() -> u64 {
-    match GC_PAUSE_BUDGET_US.load(Ordering::Relaxed) {
-        GC_PAUSE_BUDGET_UNSET => {
-            let us = std::env::var("CO_GC_PAUSE_BUDGET_US")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .unwrap_or(GC_PAUSE_BUDGET_DEFAULT_US);
-            // Only initialize from UNSET: a concurrent explicit
-            // `set_gc_pause_budget_us` must not be clobbered.
-            match GC_PAUSE_BUDGET_US.compare_exchange(
-                GC_PAUSE_BUDGET_UNSET,
-                us,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => us,
-                Err(set_concurrently) => set_concurrently,
-            }
-        }
-        us => us,
-    }
+    GC_PAUSE_BUDGET_US.load(Ordering::Relaxed)
 }
 
 /// Overrides the per-slice pause budget at runtime (`0` = unbudgeted
 /// stop-the-world slices). Takes effect at the next [`collect`] cycle.
 pub fn set_gc_pause_budget_us(us: u64) {
-    GC_PAUSE_BUDGET_US.store(
-        if us == GC_PAUSE_BUDGET_UNSET {
-            us - 1
-        } else {
-            us
-        },
-        Ordering::Relaxed,
-    );
+    GC_PAUSE_BUDGET_US.store(us, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
 // The collector thread
 // ---------------------------------------------------------------------------
 
-/// Collector-thread switch: 0 = uninitialised, 1 = off, 2 = on.
-static GC_COLLECTOR_STATE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
+/// Collector-thread switch.
+static GC_COLLECTOR_ON: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Whether the dedicated collector thread owns garbage collection.
 ///
@@ -1241,29 +1156,9 @@ static GC_COLLECTOR_STATE: std::sync::atomic::AtomicU8 = std::sync::atomic::Atom
 /// Explicit [`collect`] calls sweep on the caller's thread in both modes,
 /// serialised with the collector's cycles by the collect gate.
 ///
-/// Initialized lazily from the `CO_GC_COLLECTOR` environment variable
-/// (`1`/`on`/`true` enable); override at runtime with
-/// [`set_gc_collector`].
+/// Defaults to off; switch it with [`set_gc_collector`].
 pub fn gc_collector_enabled() -> bool {
-    match GC_COLLECTOR_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let on = matches!(
-                std::env::var("CO_GC_COLLECTOR").as_deref(),
-                Ok("1") | Ok("on") | Ok("true")
-            );
-            // Only initialize from the unset sentinel: a concurrent
-            // explicit `set_gc_collector` must win over the env default.
-            let _ = GC_COLLECTOR_STATE.compare_exchange(
-                0,
-                if on { 2 } else { 1 },
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            gc_collector_enabled()
-        }
-    }
+    GC_COLLECTOR_ON.load(Ordering::Relaxed)
 }
 
 /// Turns the dedicated collector thread on or off at runtime. The thread
@@ -1271,7 +1166,7 @@ pub fn gc_collector_enabled() -> bool {
 /// collector off merely routes collection back inline; an idle collector
 /// thread costs one ~20ms-interval timed wait).
 pub fn set_gc_collector(on: bool) {
-    GC_COLLECTOR_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    GC_COLLECTOR_ON.store(on, Ordering::Relaxed);
     if on {
         let _ = collector(); // make sure the thread exists before the first nudge
     }
@@ -1505,7 +1400,7 @@ pub fn collect() -> SweepStats {
 struct GcInstruments {
     /// Per-**slice** pause durations: how long each budgeted slice held
     /// interner/memo locks (the time interners can actually be blocked).
-    /// With slicing off (`CO_GC_PAUSE_BUDGET_US=0`) the single sample is
+    /// With slicing off (`set_gc_pause_budget_us(0)`) the single sample is
     /// the cycle's total lock-held time — the stop-the-world pause.
     pause_ns: std::sync::Arc<co_obs::Histogram>,
     /// Whole-cycle durations, slice yields included.
@@ -1533,7 +1428,7 @@ fn gc_instruments() -> &'static GcInstruments {
 /// [`Slicer::breakpoint`] at lock-free points; a slice only ends at a
 /// breakpoint, so every lock is released before the yield. Each slice's
 /// pause is recorded into `store.gc_pause_ns`; with slicing off
-/// (`CO_GC_PAUSE_BUDGET_US=0`) the single sample is the cycle's total
+/// (`set_gc_pause_budget_us(0)`) the single sample is the cycle's total
 /// lock-held time — the stop-the-world pause.
 ///
 /// A **paced** slicer additionally sleeps for twice the slice's own pause
@@ -1543,7 +1438,7 @@ fn gc_instruments() -> &'static GcInstruments {
 /// callers (explicit `collect()`, inline triggers) never pace — they want
 /// the cycle done.
 struct Slicer {
-    /// `None` = unbudgeted (`CO_GC_PAUSE_BUDGET_US=0`): one slice.
+    /// `None` = unbudgeted (`set_gc_pause_budget_us(0)`): one slice.
     budget: Option<std::time::Duration>,
     /// Continuous-hold cap: budget/4. The pause budget bounds a *slice's*
     /// accumulated lock-held time, but an interner parked on a shard only

@@ -1,12 +1,12 @@
 //! Differential correctness of memo-table eviction.
 //!
 //! The `≤`/`∪`/`∩` memo tables are a pure cache: no matter the capacity
-//! (`CO_MEMO_SHARD_CAP` down to 1 entry per shard) or whether memoization
-//! is on at all, every operation must return the same result. This test
-//! computes a reference answer matrix with memoization disabled and
-//! replays it under the second-chance clock at each capacity, then checks
-//! the clock's observable behaviour: it keeps a hot pair through a stream
-//! of cold ones.
+//! (`store::set_memo_shard_cap` down to 1 entry per shard) or whether
+//! memoization is on at all, every operation must return the same
+//! result. This test computes a reference answer matrix with memoization
+//! disabled and replays it under the second-chance clock at each
+//! capacity, then checks the clock's observable behaviour: it keeps a hot
+//! pair through a stream of cold ones.
 //!
 //! This lives in its own integration-test binary (hence its own process)
 //! with a single `#[test]`, because it drives the process-wide policy and

@@ -61,12 +61,12 @@ pub fn metrics_enabled() -> bool {
     match METRICS_STATE.load(Ordering::Relaxed) {
         2 => true,
         1 => false,
-        _ => init_metrics_from_env(),
+        _ => read_co_metrics(),
     }
 }
 
 #[cold]
-fn init_metrics_from_env() -> bool {
+fn read_co_metrics() -> bool {
     let on = !matches!(
         std::env::var("CO_METRICS").as_deref(),
         Ok("0") | Ok("off") | Ok("false")

@@ -55,12 +55,12 @@ pub fn trace_enabled() -> bool {
     match TRACE_STATE.load(Ordering::Relaxed) {
         2 => true,
         1 => false,
-        _ => init_trace_from_env(),
+        _ => read_co_trace(),
     }
 }
 
 #[cold]
-fn init_trace_from_env() -> bool {
+fn read_co_trace() -> bool {
     let out = match std::env::var("CO_TRACE") {
         Err(_) => TraceOutput::Off,
         Ok(v) => match v.as_str() {

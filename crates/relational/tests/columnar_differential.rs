@@ -7,8 +7,7 @@
 //! The arena threshold is dropped to 2 rows so the generated relations —
 //! deliberately small, to let proptest shrink — actually take the
 //! columnar path. Dedicated tests interleave full store collections
-//! (the in-process analogue of the `CO_GC_EVERY_ROUND=1` CI lane, which
-//! runs this suite too) and race four threads over shared relations:
+//! and race four threads over shared relations:
 //! whatever order arenas are built and caches are purged in, the
 //! canonical boundary must hand back the same node.
 

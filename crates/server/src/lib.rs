@@ -65,9 +65,9 @@
 //! A set-but-unparsable value keeps the default **and emits a one-line
 //! structured warning** (a single JSON line through the co-obs event
 //! emitter — stderr unless `CO_TRACE` routes it to a file) naming the
-//! variable and the rejected value. Engine knobs (`CO_ENGINE_THREADS`,
-//! `CO_GC_EVERY_ROUND`, …) apply unchanged — the serving layer adds no
-//! semantics of its own.
+//! variable and the rejected value. The engine's configuration (thread
+//! count, GC cadence, …) is whatever the [`SharedEngine`]'s template was
+//! built with — the serving layer adds no semantics of its own.
 //!
 //! ## Observability
 //!
@@ -326,13 +326,6 @@ impl Server {
     /// Binds `config.addr` and starts serving sessions against `shared`.
     /// Reads are snapshot-isolated per the [`co_engine::shared`] contract.
     pub fn bind(shared: SharedEngine, config: ServerConfig) -> io::Result<ServerHandle> {
-        // Warm the dedicated GC collector thread (when `CO_GC_COLLECTOR`
-        // enables it) before any session exists: the thread is otherwise
-        // spawned lazily by the first high-water nudge, which would put
-        // a thread-spawn syscall on a request's intern path.
-        if co_object::store::gc_collector_enabled() {
-            co_object::store::set_gc_collector(true);
-        }
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;

@@ -9,10 +9,10 @@
 //! sweeping the store every round) while each reader re-runs its query
 //! and fixpoint eval over and over, asserting every result is the same
 //! interned node as the reference — same `NodeId`, not merely equal.
-//! Run at 1 and 4 reader threads; CI re-runs the whole file under
-//! `CO_GC_EVERY_ROUND=1` and `CO_ENGINE_THREADS=4`.
+//! Run at 1 reader thread against the default engine, and at 4 reader
+//! threads against a writer engine evaluating on 4 threads.
 
-use co_engine::{Engine, GcCadence, SharedEngine};
+use co_engine::{Engine, GcCadence, Parallelism, SharedEngine};
 use co_object::{store, NodeId, Object};
 use co_parser::{parse_formula, parse_object, parse_program};
 use co_server::{Client, Server, ServerConfig};
@@ -57,8 +57,8 @@ fn ids(o: &Object) -> Option<NodeId> {
     o.node_id()
 }
 
-fn run_differential(reader_threads: usize) {
-    let shared = SharedEngine::new(template(), seed());
+fn run_differential(reader_threads: usize, writer: Parallelism) {
+    let shared = SharedEngine::new(template().parallelism(writer), seed());
     let (ref_query, ref_eval) = references(&shared);
     let handle = Server::bind(shared, ServerConfig::default()).unwrap();
     let addr = handle.addr();
@@ -131,12 +131,12 @@ fn run_differential(reader_threads: usize) {
 
 #[test]
 fn one_pinned_reader_is_isolated_from_a_writer() {
-    run_differential(1);
+    run_differential(1, Parallelism::default());
 }
 
 #[test]
 fn four_pinned_readers_are_isolated_from_a_writer() {
-    run_differential(4);
+    run_differential(4, Parallelism::Threads(4));
 }
 
 /// Release-then-repin observes the new head — isolation is per-pin, not

@@ -92,11 +92,12 @@
 //! record — the columns carry an inline copy). The reader rebuilds every
 //! row bottom-up through the same canonicalizing constructors as any
 //! other node, so a columnar snapshot restores to bit-identical objects
-//! and `NodeId`s. Eligibility and the row threshold are
-//! [`co_object::columnar`]'s (`CO_COLUMNAR_MIN_ROWS`); when no set
-//! qualifies, the writer falls back to a byte-identical **version 1**
-//! snapshot, and a version-3 file that contains no columnar record is
-//! rejected as [`WireError::Malformed`] — so a flipped version byte
+//! and `NodeId`s. Eligibility and the row threshold
+//! ([`columnar_min_rows`](co_object::columnar::columnar_min_rows)) are
+//! [`co_object::columnar`]'s; when no set qualifies, the writer falls
+//! back to a byte-identical **version 1** snapshot, and a version-3 file
+//! that contains no columnar record is rejected as
+//! [`WireError::Malformed`] — so a flipped version byte
 //! cannot silently reinterpret a v1 payload. Deltas (version 2) never
 //! emit the columnar tag.
 //!
@@ -710,10 +711,11 @@ pub fn write_snapshot_handle<W: Write>(
 
 /// [`write_snapshot`], with the **columnar fast path**: flat relations
 /// that qualify for a [`co_object::columnar`] arena (same-schema rows of
-/// atoms, at least `CO_COLUMNAR_MIN_ROWS` of them) are encoded as
-/// schema-once column-major records, and their row tuples — when nothing
-/// outside the relation references them — are pruned from the node
-/// table. Writes [`FORMAT_VERSION_COLUMNAR`] when at least one set
+/// atoms, at least
+/// [`columnar_min_rows`](co_object::columnar::columnar_min_rows) of them)
+/// are encoded as schema-once column-major records, and their row tuples
+/// — when nothing outside the relation references them — are pruned from
+/// the node table. Writes [`FORMAT_VERSION_COLUMNAR`] when at least one set
 /// qualified (see [`WriteStats::columnar_sets`]), otherwise falls back
 /// to a byte-identical version-1 snapshot.
 ///
@@ -1721,7 +1723,7 @@ mod tests {
     }
 
     /// A flat relation of `rows` same-schema atom tuples — large enough
-    /// (≥ the default `CO_COLUMNAR_MIN_ROWS` of 64) to qualify for a
+    /// (≥ the default `columnar_min_rows()` of 64) to qualify for a
     /// columnar arena without touching the process-global threshold.
     fn flat_relation(rows: i64) -> Object {
         Object::set((0..rows).map(|i| {

@@ -227,7 +227,7 @@ fn the_inspector_never_panics_and_catches_what_the_checksum_covers() {
 }
 
 /// A columnar (v3) snapshot: a flat relation large enough for the
-/// default `CO_COLUMNAR_MIN_ROWS` threshold, mixing every atom kind the
+/// default `columnar_min_rows()` threshold, mixing every atom kind the
 /// columns can carry, plus one ordinary root alongside.
 fn columnar_corpus_bytes() -> Vec<u8> {
     let rel = Object::set((0..100i64).map(|i| {

@@ -4,7 +4,7 @@
 //! smaller than) the naive tree encoding.
 
 use co_object::random::{Generator, Profile};
-use co_object::{obj, Object};
+use co_object::{obj, store, Object};
 use co_wire::{naive_encoding_len, read_snapshot, write_snapshot};
 use proptest::prelude::*;
 
@@ -95,6 +95,37 @@ fn deep_chains_do_not_overflow_the_stack() {
     assert!(naive >= 4 * 20_000, "naive chain accounting: {naive}");
     let snap = read_snapshot(bytes.as_slice()).unwrap();
     assert_eq!(snap.roots[0].node_id(), o.node_id());
+}
+
+#[test]
+fn round_trips_survive_size_triggered_collection() {
+    // Arm a low high-water mark, so the store sweeps itself from the
+    // intern path while a snapshot is built, written and re-interned.
+    // The mark is process-wide: every test running alongside in this
+    // binary round-trips under the same GC pressure until it is disarmed.
+    struct Disarm;
+    impl Drop for Disarm {
+        fn drop(&mut self) {
+            store::set_gc_high_water(0);
+        }
+    }
+    let _disarm = Disarm;
+    let before = store::stats().gc_auto_triggers;
+    store::set_gc_high_water(20_000);
+
+    let mut o = obj!([gc_pressure_leaf: 1]);
+    for _ in 0..25_000 {
+        o = Object::tuple([("d", o)]);
+    }
+    let mut bytes = Vec::new();
+    write_snapshot(&mut bytes, std::slice::from_ref(&o), b"gc").unwrap();
+    let snap = read_snapshot(bytes.as_slice()).unwrap();
+    assert_eq!(snap.roots, [o.clone()]);
+    assert_eq!(snap.roots[0].node_id(), o.node_id());
+    assert!(
+        store::stats().gc_auto_triggers > before,
+        "25 000 fresh nodes past a 20 000 mark fired no automatic collection"
+    );
 }
 
 #[test]

@@ -92,8 +92,8 @@ fn main() {
     // 6. The hash-consed store behind it all: every composite built above
     //    was interned (canonical equality = pointer equality), and the
     //    lattice operations were memoized. The counters tell the story;
-    //    shrink the memo capacity with CO_MEMO_SHARD_CAP or force
-    //    parallel evaluation with CO_ENGINE_THREADS to watch them change.
+    //    shrink the memo capacity with `store::set_memo_shard_cap` or force
+    //    parallel evaluation with `Engine::threads` to watch them change.
     // -----------------------------------------------------------------
     println!("\n{}", complex_objects::object::store::stats());
 
@@ -101,7 +101,7 @@ fn main() {
     // 7. Lifecycle: interned nodes live until a sweep proves them
     //    unreachable. Pin what must survive, drop the rest, collect.
     //    (Engines can do this automatically between rounds:
-    //    `Engine::gc_every_rounds(1)` or CO_GC_EVERY_ROUND=1.)
+    //    `Engine::gc_every_rounds(1)`.)
     // -----------------------------------------------------------------
     use complex_objects::object::store;
     let root = store::pin(&out.database).expect("composites are pinnable");

@@ -64,7 +64,7 @@
 //!   emitter gated by `CO_TRACE`.
 //!
 //! Two more pieces are not re-exported: `crates/bench` (`co_bench`,
-//! workload builders, experiment binaries, and the criterion benches) and
+//! workload builders, the `tracecheck` binary, and the criterion benches) and
 //! `vendor/` (offline in-tree shims for external crates — the build needs
 //! no registry access).
 //!

@@ -8,10 +8,9 @@
 //! Fresh-process coverage re-executes this very test binary with
 //! `--exact` on a child-mode test (selected by the `CKPT_CHILD_DIR`
 //! environment variable): the child restores the snapshot into its own
-//! empty store, runs to fixpoint under the requested
-//! `CO_ENGINE_THREADS`/`CO_GC_EVERY_ROUND`, and reports its result back
-//! as another wire snapshot, which the parent re-loads and compares
-//! semantically.
+//! empty store, runs to fixpoint under the thread count and GC cadence
+//! named by `CKPT_CHILD_CONFIG`, and reports its result back as another
+//! wire snapshot, which the parent re-loads and compares semantically.
 
 use complex_objects::engine::{GcCadence, RunOutcome};
 use complex_objects::prelude::*;
@@ -269,16 +268,50 @@ proptest! {
     }
 }
 
+/// The configuration a child leg runs under, from `CKPT_CHILD_CONFIG`
+/// (`threads,gc_every_round`; `1` thread is sequential, a `0` cadence is
+/// off).
+fn child_config(spec: &str) -> (Parallelism, GcCadence) {
+    let (threads, gc) = spec
+        .split_once(',')
+        .expect("CKPT_CHILD_CONFIG is threads,gc");
+    let parallelism = match threads.parse().expect("a thread count") {
+        1 => Parallelism::Sequential,
+        n => Parallelism::Threads(n),
+    };
+    let gc = match gc.parse().expect("a GC cadence") {
+        0 => GcCadence::Off,
+        n => GcCadence::EveryRounds(n),
+    };
+    (parallelism, gc)
+}
+
+/// What a child reports about the run it actually made: its configuration
+/// and whether the run fanned out and collected.
+fn ran_as(parallelism: Parallelism, gc: GcCadence, fanned_out: bool, collected: bool) -> String {
+    format!("{parallelism:?} {gc:?} fanned_out={fanned_out} collected={collected}")
+}
+
 /// Child-process worker: restore the snapshot `$CKPT_CHILD_DIR/initial.cow`
-/// into this (fresh) process's store, run to fixpoint under whatever
-/// `CO_ENGINE_THREADS` / `CO_GC_EVERY_ROUND` the parent set, and write the
-/// result database (as a wire snapshot) and the rendered trace back.
-fn child_run(dir: &Path) {
+/// into this (fresh) process's store, run to fixpoint under the
+/// configuration `config` names, and write the result database (as a wire
+/// snapshot), the rendered trace and the run's [`ran_as`] report back.
+fn child_run(dir: &Path, config: &str) {
+    let (parallelism, gc) = child_config(config);
     let restored = Engine::restore(dir.join("initial.cow")).expect("child restores the snapshot");
     let out = restored
         .engine
+        .parallelism(parallelism)
+        .gc_cadence(gc)
         .run(&restored.database)
         .expect("child reaches a fixpoint");
+    let report = ran_as(
+        parallelism,
+        gc,
+        out.stats.work_units > out.stats.rule_applications,
+        out.stats.gc_sweeps > 0,
+    );
+    std::fs::write(dir.join("child_config.txt"), report).expect("child writes its configuration");
     wire::save_to_path(
         dir.join("child_result.cow"),
         std::slice::from_ref(&out.database),
@@ -296,7 +329,8 @@ fn child_run(dir: &Path) {
 fn fresh_process_restore_reaches_an_identical_fixpoint() {
     // Child mode: this same test re-executed by the parent below.
     if let Ok(dir) = std::env::var("CKPT_CHILD_DIR") {
-        child_run(Path::new(&dir));
+        let config = std::env::var("CKPT_CHILD_CONFIG").expect("the parent names a config");
+        child_run(Path::new(&dir), &config);
         return;
     }
 
@@ -305,36 +339,42 @@ fn fresh_process_restore_reaches_an_identical_fixpoint() {
     let reference = engine().run(&db).unwrap();
     engine().checkpoint(&db, dir.join("initial.cow")).unwrap();
 
-    for (threads, gc_every_round) in [("1", ""), ("4", ""), ("1", "1"), ("4", "1")] {
+    for config in ["1,0", "4,0", "1,1", "4,1"] {
         // Re-run this test binary with only this test, in child mode: a
         // fresh process whose object store has interned nothing yet.
         let exe = std::env::current_exe().unwrap();
-        let mut cmd = std::process::Command::new(exe);
-        cmd.arg("fresh_process_restore_reaches_an_identical_fixpoint")
+        let output = std::process::Command::new(exe)
+            .arg("fresh_process_restore_reaches_an_identical_fixpoint")
             .arg("--exact")
             .arg("--nocapture")
             .env("CKPT_CHILD_DIR", &dir)
-            .env("CO_ENGINE_THREADS", threads);
-        if gc_every_round.is_empty() {
-            cmd.env_remove("CO_GC_EVERY_ROUND");
-        } else {
-            cmd.env("CO_GC_EVERY_ROUND", gc_every_round);
-        }
-        let output = cmd.output().expect("spawn child test process");
+            .env("CKPT_CHILD_CONFIG", config)
+            .output()
+            .expect("spawn child test process");
         assert!(
             output.status.success(),
-            "child (threads={threads} gc={gc_every_round:?}) failed:\n{}\n{}",
+            "child (config={config}) failed:\n{}\n{}",
             String::from_utf8_lossy(&output.stdout),
             String::from_utf8_lossy(&output.stderr)
+        );
+
+        // The child ran the configuration it was given: fanned out iff
+        // threaded, collected iff a cadence was set.
+        let (parallelism, gc) = child_config(config);
+        assert_eq!(
+            std::fs::read_to_string(dir.join("child_config.txt")).unwrap(),
+            ran_as(
+                parallelism,
+                gc,
+                parallelism != Parallelism::Sequential,
+                gc != GcCadence::Off
+            ),
         );
 
         // The child's fixpoint, re-interned into *this* process, must be
         // the very node the parent computed…
         let result = wire::load_from_path(dir.join("child_result.cow")).unwrap();
-        assert_eq!(
-            result.roots[0], reference.database,
-            "threads={threads} gc={gc_every_round:?}"
-        );
+        assert_eq!(result.roots[0], reference.database, "config={config}");
         assert_eq!(result.roots[0].node_id(), reference.database.node_id());
         assert_eq!(
             String::from_utf8(result.meta).unwrap(),
@@ -346,10 +386,11 @@ fn fresh_process_restore_reaches_an_identical_fixpoint() {
         assert_eq!(
             child_trace,
             reference.trace.as_ref().unwrap().render(),
-            "threads={threads} gc={gc_every_round:?}"
+            "config={config}"
         );
         std::fs::remove_file(dir.join("child_result.cow")).unwrap();
         std::fs::remove_file(dir.join("child_trace.txt")).unwrap();
+        std::fs::remove_file(dir.join("child_config.txt")).unwrap();
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -9,7 +9,7 @@ use common::{program_library, random_graph_db};
 use complex_objects::prelude::*;
 // Explicit import: both preludes glob-export a `Strategy` (the engine's
 // enum and proptest's trait); the non-glob import disambiguates.
-use co_engine::Strategy;
+use co_engine::{GcCadence, Strategy};
 use proptest::prelude::*;
 
 fn reference(
@@ -30,7 +30,9 @@ fn reference(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// naive == semi-naive == reference, with and without indexes.
+    /// naive == semi-naive == reference, with and without indexes, run
+    /// sequentially and on 4 threads, with and without a store collection
+    /// after every round.
     #[test]
     fn all_configurations_agree(seed in any::<u64>(), nodes in 2i64..8, edges in 1usize..14) {
         let db = random_graph_db(seed, nodes, edges);
@@ -38,17 +40,23 @@ proptest! {
             let expected = reference(&program, &db);
             for strategy in [Strategy::Naive, Strategy::SemiNaive] {
                 for indexes in [false, true] {
-                    let out = Engine::new(program.clone())
-                        .strategy(strategy)
-                        .indexes(indexes)
-                        .run(&db)
-                        .unwrap();
-                    prop_assert_eq!(
-                        &out.database,
-                        &expected,
-                        "program={} strategy={:?} indexes={}",
-                        name, strategy, indexes
-                    );
+                    for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
+                        for gc in [GcCadence::Off, GcCadence::EveryRounds(1)] {
+                            let out = Engine::new(program.clone())
+                                .strategy(strategy)
+                                .indexes(indexes)
+                                .parallelism(parallelism)
+                                .gc_cadence(gc)
+                                .run(&db)
+                                .unwrap();
+                            prop_assert_eq!(
+                                &out.database,
+                                &expected,
+                                "program={} strategy={:?} indexes={} parallelism={:?} gc={:?}",
+                                name, strategy, indexes, parallelism, gc
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -1,6 +1,6 @@
-//! Executable reproduction of every numbered example in the paper
-//! (experiments E1–E10 of EXPERIMENTS.md). Each test states the example it
-//! reproduces; the assertions are the paper's own identities.
+//! Executable reproduction of every numbered example in the paper. Each
+//! test states the example it reproduces; the assertions are the paper's
+//! own identities.
 
 use complex_objects::object::lattice::{intersect, union};
 use complex_objects::object::order::le;

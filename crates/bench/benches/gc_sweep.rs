@@ -56,11 +56,8 @@ fn bench_sweep(c: &mut Criterion) {
     );
     criterion::save_json_record(&format!(
         "{{\"bench\": \"gc/sweep\", \"id\": \"reclaim_50k\", \"created_nodes\": {created}, \
-         \"freed_nodes\": {}, \"reclaim_ratio\": {ratio:.4}, \"passes\": {}, \
-         \"memo_entries_swept\": {}}}",
+         \"freed_nodes\": {}, \"reclaim_ratio\": {ratio:.4}}}",
         sweep.freed_nodes(),
-        sweep.passes,
-        sweep.memo_entries_swept,
     ));
     drop(live);
     store::collect();

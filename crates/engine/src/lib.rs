@@ -32,7 +32,6 @@ pub mod dmatch;
 mod engine;
 mod error;
 mod guard;
-pub mod incremental;
 pub mod index;
 pub mod shared;
 mod stats;
@@ -45,7 +44,6 @@ pub use engine::{
 };
 pub use error::EngineError;
 pub use guard::Guard;
-pub use incremental::Materialized;
 pub use shared::{AdvanceOutcome, PinnedDb, SharedEngine};
 pub use stats::EvalStats;
 pub use trace::{Trace, TraceEvent};

@@ -15,9 +15,8 @@
 //! Arenas are built lazily ([`arena_for`]) once a set's cardinality
 //! crosses [`columnar_min_rows`] (default 64, see
 //! [`set_columnar_min_rows`]) and are memoized per [`NodeId`] — sound
-//! for the same reason the store's memo tables are: interned nodes are
-//! immutable and ids are never recycled, so an id names one set value
-//! forever. Negative answers (the set is not a flat uniform relation)
+//! because interned nodes are immutable and ids are never recycled, so an
+//! id names one set value forever. Negative answers (the set is not a flat uniform relation)
 //! are memoized too, so repeated probes of ineligible sets stay O(1).
 //! [`collect`](crate::store::collect) purges entries keyed by freed ids.
 //!

@@ -8,14 +8,10 @@
 //! instantiations, and the matcher computes maximal variable bindings as
 //! intersections.
 //!
-//! Both operations run over interned handles ([`crate::store`]): equality
-//! fast paths are pointer comparisons, and results for large operand pairs
-//! are memoized by `(NodeId, NodeId)` key — `∪` and `∩` commute, so their
-//! keys are symmetrized. Fixpoint evaluation unions the same sub-objects
-//! every iteration, which is exactly the access pattern the memo tables
-//! absorb (hit rates are visible in [`crate::store::stats`]).
+//! Both operations run over interned handles ([`crate::store`]): the
+//! idempotence fast paths (`a ∪ a = a ∩ a = a`) are pointer comparisons,
+//! and everything else is the structural recursion of the definitions.
 
-use crate::store;
 use crate::{Attr, Object, Tuple};
 use std::cmp::Ordering;
 
@@ -52,18 +48,14 @@ pub fn union(a: &Object, b: &Object) -> Object {
             if a == b {
                 return a.clone();
             }
-            store::union_cached(
-                (a.node_id().unwrap(), a.meta().unwrap()),
-                (b.node_id().unwrap(), b.meta().unwrap()),
-                || union_uncached(a, b),
-            )
+            union_same_kind(a, b)
         }
         _ => Object::Top,
     }
 }
 
-/// Same-kind composite union, bypassing the memo table.
-fn union_uncached(a: &Object, b: &Object) -> Object {
+/// Union of two composites of the same kind (both tuples or both sets).
+fn union_same_kind(a: &Object, b: &Object) -> Object {
     match (a, b) {
         (Object::Tuple(x), Object::Tuple(y)) => union_tuples(x, y),
         (Object::Set(x), Object::Set(y)) => {
@@ -72,7 +64,7 @@ fn union_uncached(a: &Object, b: &Object) -> Object {
             v.extend(y.iter().cloned());
             Object::set_from_vec(v)
         }
-        _ => unreachable!("union_uncached called on non-matching kinds"),
+        _ => unreachable!("union_same_kind called on non-matching kinds"),
     }
 }
 
@@ -109,18 +101,15 @@ pub fn intersect(a: &Object, b: &Object) -> Object {
             if a == b {
                 return a.clone();
             }
-            store::intersect_cached(
-                (a.node_id().unwrap(), a.meta().unwrap()),
-                (b.node_id().unwrap(), b.meta().unwrap()),
-                || intersect_uncached(a, b),
-            )
+            intersect_same_kind(a, b)
         }
         _ => Object::Bottom,
     }
 }
 
-/// Same-kind composite intersection, bypassing the memo table.
-fn intersect_uncached(a: &Object, b: &Object) -> Object {
+/// Intersection of two composites of the same kind (both tuples or both
+/// sets).
+fn intersect_same_kind(a: &Object, b: &Object) -> Object {
     match (a, b) {
         (Object::Tuple(x), Object::Tuple(y)) => intersect_tuples(x, y),
         (Object::Set(x), Object::Set(y)) => {
@@ -148,7 +137,7 @@ fn intersect_uncached(a: &Object, b: &Object) -> Object {
             }
             Object::set_from_vec(v)
         }
-        _ => unreachable!("intersect_uncached called on non-matching kinds"),
+        _ => unreachable!("intersect_same_kind called on non-matching kinds"),
     }
 }
 

@@ -70,7 +70,7 @@ pub use builder::IntoObject;
 pub use error::ObjectError;
 pub use measure::{atom_count, depth, max_fanout, size, Depth};
 pub use path::Path;
-pub use store::{MemoPolicy, Meta, NodeId, Root, SweepStats};
+pub use store::{Meta, NodeId, Root, SweepStats};
 pub use value::{Object, Set, Tuple};
 
 #[cfg(test)]

@@ -16,11 +16,9 @@
 //! The implementation leans on the hash-consed store ([`crate::store`]):
 //! interned equality short-circuits `a ≤ a` in O(1), cached [`crate::Meta`]
 //! gives monotone fast rejects (`a ≤ b ⇒ depth(a) ≤ depth(b)` and likewise
-//! for size on sets' merge walks), and `≤` on large pairs is memoized by
-//! `(NodeId, NodeId)` — the key is order-sensitive because `≤` is not
-//! symmetric.
+//! for size on sets' merge walks). Past those checks `≤` is the structural
+//! recursion of Definition 3.1, run directly.
 
-use crate::store;
 use crate::{Object, Set, Tuple};
 use std::cmp::Ordering;
 
@@ -59,9 +57,7 @@ pub fn le(a: &Object, b: &Object) -> bool {
             if x.len() > y.len() || x.meta().depth > y.meta().depth {
                 return false;
             }
-            store::le_cached((x.node_id(), x.meta()), (y.node_id(), y.meta()), || {
-                tuple_le(x, y)
-            })
+            tuple_le(x, y)
         }
         (Object::Set(x), Object::Set(y)) => {
             if x == y {
@@ -71,9 +67,7 @@ pub fn le(a: &Object, b: &Object) -> bool {
             if x.meta().depth > y.meta().depth {
                 return false;
             }
-            store::le_cached((x.node_id(), x.meta()), (y.node_id(), y.meta()), || {
-                set_le(x, y)
-            })
+            set_le(x, y)
         }
         _ => false,
     }

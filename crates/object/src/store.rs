@@ -19,7 +19,7 @@
 //!   hashes.
 //! - **Stable identity** — every node carries a process-unique [`NodeId`]
 //!   that is never recycled, so downstream layers (the engine's set
-//!   indexes, the memo tables below) can key off identity without the
+//!   indexes, the columnar arena cache) can key off identity without the
 //!   ABA hazard of raw `Arc` addresses.
 //!
 //! Nodes also carry a [`Meta`] record — depth, node count, atom count,
@@ -41,32 +41,12 @@
 //! front of the shards and absorbs the re-interning bursts of fixpoint
 //! loops.
 //!
-//! # Memo tables
-//!
-//! The store hosts memo caches for the three binary lattice operations of
-//! the paper — the sub-object order `≤` (Definition 3.1), union `∪`
-//! (Definition 3.4), and intersection `∩` (Definition 3.5) — keyed by
-//! `(NodeId, NodeId)`. Soundness rests on two invariants: interned nodes
-//! are immutable, and ids are never recycled, so a key names one pair of
-//! values forever. Only comparisons of *large* nodes (see
-//! [`MEMO_MIN_SIZE`]) are memoized: small comparisons are cheaper than a
-//! lock round-trip. The tables are sharded by key hash like the interner,
-//! and bounded by [`memo_shard_cap`] entries per shard. Eviction is
-//! **second chance** ([`MemoPolicy::SecondChance`]): each shard keeps its
-//! keys on a clock ring with a referenced bit that lookups set, and a
-//! full shard evicts the first un-referenced (cold) key instead of
-//! clearing wholesale — hot pairs that fixpoint rounds re-ask every
-//! iteration survive. [`MemoPolicy::Disabled`] turns memoization off at
-//! runtime (see [`set_memo_policy`]; the differential reference for
-//! tests). Eviction is observable through the `evicted` / `retained`
-//! counters of [`MemoStats`].
-//!
 //! # Lifetime
 //!
 //! Interned nodes are held by strong references and live until an explicit
 //! [`collect`] call sweeps them: a node is freed when nothing outside the
 //! store itself references it — no live [`Object`] handle, no thread-local
-//! L1 slot, no memo-table value, and no pinned [`Root`] guard. `NodeId`s
+//! L1 slot, and no pinned [`Root`] guard. `NodeId`s
 //! are **never recycled**, even across sweeps, so a stale id held by a
 //! downstream layer (an engine index, a log line) can go unused but can
 //! never silently alias a different value. Long-running servers whose
@@ -77,8 +57,8 @@
 //! # Observability
 //!
 //! [`stats`] returns a [`StoreStats`] snapshot: node counts, per-shard
-//! interner hit/miss/contention counters, per-table memo
-//! hit/miss/eviction counters, and GC sweep/freed-node totals. Each
+//! interner hit/miss/contention counters, and GC sweep/freed-node
+//! totals. Each
 //! [`collect`] additionally returns a [`SweepStats`] for that sweep.
 //!
 //! ```
@@ -247,44 +227,23 @@ struct Shard {
     contended: AtomicU64,
 }
 
-/// Read-locks `lock`, counting the acquisition on `contended` when it
-/// could not be satisfied immediately.
-fn read_counted<'a, T>(
-    lock: &'a RwLock<T>,
-    contended: &AtomicU64,
-) -> parking_lot::RwLockReadGuard<'a, T> {
-    match lock.try_read() {
-        Some(g) => g,
-        None => {
-            contended.fetch_add(1, Ordering::Relaxed);
-            lock.read()
-        }
-    }
-}
-
-/// Write-locks `lock`, counting contention like [`read_counted`].
-fn write_counted<'a, T>(
-    lock: &'a RwLock<T>,
-    contended: &AtomicU64,
-) -> parking_lot::RwLockWriteGuard<'a, T> {
-    match lock.try_write() {
-        Some(g) => g,
-        None => {
-            contended.fetch_add(1, Ordering::Relaxed);
-            lock.write()
-        }
-    }
-}
-
 impl Shard {
-    /// Read-locks the shard maps, counting contention.
+    /// Read-locks the shard maps, counting the acquisition on `contended`
+    /// when it could not be satisfied immediately.
     fn read(&self) -> parking_lot::RwLockReadGuard<'_, ShardMaps> {
-        read_counted(&self.maps, &self.contended)
+        self.maps.try_read().unwrap_or_else(|| {
+            self.contended.fetch_add(1, Ordering::Relaxed);
+            self.maps.read()
+        })
     }
 
-    /// Write-locks the shard maps, counting contention.
+    /// Write-locks the shard maps, counting contention like
+    /// [`Shard::read`].
     fn write(&self) -> parking_lot::RwLockWriteGuard<'_, ShardMaps> {
-        write_counted(&self.maps, &self.contended)
+        self.maps.try_write().unwrap_or_else(|| {
+            self.contended.fetch_add(1, Ordering::Relaxed);
+            self.maps.write()
+        })
     }
 }
 
@@ -550,341 +509,6 @@ pub(crate) fn intern_set(elements: Vec<Object>) -> Arc<SetNode> {
 }
 
 // ---------------------------------------------------------------------------
-// Memo tables for the binary lattice operations
-// ---------------------------------------------------------------------------
-
-/// Minimum subtree node count (on both operands) for a comparison to be
-/// memoized. Below this, the structural walk is cheaper than a lock
-/// round-trip on the shared table.
-pub const MEMO_MIN_SIZE: u64 = 12;
-
-/// Number of shards per memo table (power of two), keyed by a mix of the
-/// two node ids.
-const MEMO_SHARD_COUNT: usize = 16;
-
-/// Default maximum entries per memo table across all shards; a shard
-/// reaching its share of this capacity evicts by second chance.
-const MEMO_CAP: usize = 1 << 20;
-
-/// Per-shard memo capacity, runtime-adjustable.
-static MEMO_SHARD_CAP: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(MEMO_CAP / MEMO_SHARD_COUNT);
-
-/// Per-shard memo capacity: a tuning knob for memory-tight deployments and
-/// a lever for tests and benchmarks that need to exercise the eviction
-/// path cheaply. Defaults to `MEMO_CAP / MEMO_SHARD_COUNT`; see
-/// [`set_memo_shard_cap`].
-pub fn memo_shard_cap() -> usize {
-    MEMO_SHARD_CAP.load(Ordering::Relaxed)
-}
-
-/// Overrides the per-shard memo capacity at runtime (values below 1 are
-/// clamped to 1). Shards above the new capacity shrink lazily, on their
-/// next insert. Intended for tests, benchmarks, and operational tuning.
-pub fn set_memo_shard_cap(cap: usize) {
-    MEMO_SHARD_CAP.store(cap.max(1), Ordering::Relaxed);
-}
-
-/// Whether — and how — the bounded memo tables cache (process-wide).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum MemoPolicy {
-    /// Second-chance (clock) eviction: lookups set a referenced bit on the
-    /// entry; a full shard sweeps its ring, granting one more round to
-    /// referenced (hot) entries and evicting the first cold one. Keeps the
-    /// pairs that fixpoint rounds re-ask every iteration.
-    #[default]
-    SecondChance,
-    /// Memoization off: every operation recomputes. The differential
-    /// baseline for correctness tests.
-    Disabled,
-}
-
-/// Set while memoization is [`MemoPolicy::Disabled`].
-static MEMO_DISABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// The current process-wide [`MemoPolicy`]:
-/// [`MemoPolicy::SecondChance`] unless [`set_memo_policy`] said otherwise.
-pub fn memo_policy() -> MemoPolicy {
-    if MEMO_DISABLED.load(Ordering::Relaxed) {
-        MemoPolicy::Disabled
-    } else {
-        MemoPolicy::SecondChance
-    }
-}
-
-/// Selects the process-wide memo policy at runtime. Cached entries
-/// survive a switch (switching to [`MemoPolicy::Disabled`] merely stops
-/// consulting them; see [`clear_memo_tables`] to drop them).
-pub fn set_memo_policy(p: MemoPolicy) {
-    MEMO_DISABLED.store(p == MemoPolicy::Disabled, Ordering::Relaxed);
-}
-
-/// Drops every entry of the `≤`/`∪`/`∩` memo tables (counters are
-/// untouched). A test/benchmark lever: lets one process start several
-/// measurements from identical cold tables.
-pub fn clear_memo_tables() {
-    LE_MEMO.clear();
-    UNION_MEMO.clear();
-    INTERSECT_MEMO.clear();
-}
-
-/// The shard index of a memo key: multiply-mix both ids so that pairs
-/// sharing one operand still spread across shards.
-#[inline]
-fn memo_shard_index(key: (NodeId, NodeId)) -> usize {
-    let h = key
-        .0
-         .0
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(key.1 .0.wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-    (h >> (64 - MEMO_SHARD_COUNT.trailing_zeros())) as usize
-}
-
-/// One cached result plus its second-chance referenced bit (set by lookups
-/// under the shared lock, cleared by the clock hand under the exclusive
-/// one).
-struct MemoEntry<V> {
-    value: V,
-    referenced: std::sync::atomic::AtomicBool,
-}
-
-/// The interior of one memo shard: the pair-keyed map and the clock ring.
-///
-/// Invariant: every map key is on the ring exactly once (the ring may also
-/// carry stale keys whose entries a GC purge removed; the clock hand drops
-/// those as it encounters them).
-struct MemoShardState<V> {
-    map: FxHashMap<(NodeId, NodeId), MemoEntry<V>>,
-    ring: std::collections::VecDeque<(NodeId, NodeId)>,
-}
-
-impl<V> Default for MemoShardState<V> {
-    fn default() -> Self {
-        MemoShardState {
-            map: FxHashMap::default(),
-            ring: std::collections::VecDeque::new(),
-        }
-    }
-}
-
-/// One shard of a memo table under its own lock.
-type MemoShard<V> = RwLock<MemoShardState<V>>;
-
-struct MemoTable<V> {
-    shards: OnceLock<[MemoShard<V>; MEMO_SHARD_COUNT]>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    contended: AtomicU64,
-    evicted: AtomicU64,
-    retained: AtomicU64,
-    swept: AtomicU64,
-}
-
-impl<V: Clone> MemoTable<V> {
-    const fn new() -> Self {
-        MemoTable {
-            shards: OnceLock::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            retained: AtomicU64::new(0),
-            swept: AtomicU64::new(0),
-        }
-    }
-
-    fn all_shards(&self) -> &[MemoShard<V>; MEMO_SHARD_COUNT] {
-        self.shards
-            .get_or_init(|| std::array::from_fn(|_| RwLock::new(MemoShardState::default())))
-    }
-
-    fn shard(&self, key: (NodeId, NodeId)) -> &MemoShard<V> {
-        &self.all_shards()[memo_shard_index(key)]
-    }
-
-    fn get(&self, key: (NodeId, NodeId)) -> Option<V> {
-        let guard = read_counted(self.shard(key), &self.contended);
-        let found = guard.map.get(&key).map(|e| {
-            // Second chance: mark the entry hot. A relaxed store is enough;
-            // the bit is a heuristic, not a synchronization point.
-            e.referenced.store(true, Ordering::Relaxed);
-            e.value.clone()
-        });
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn put(&self, key: (NodeId, NodeId), value: V) {
-        let mut guard = write_counted(self.shard(key), &self.contended);
-        let state = &mut *guard;
-        if let Some(existing) = state.map.get_mut(&key) {
-            // Lost a race with another thread computing the same pair: the
-            // results are equal (the operations are deterministic), so just
-            // refresh in place — the key is already on the ring.
-            existing.value = value;
-            return;
-        }
-        let cap = memo_shard_cap();
-        match memo_policy() {
-            MemoPolicy::Disabled => return,
-            MemoPolicy::SecondChance => {
-                // Clock sweep: hot (referenced) keys get their bit cleared
-                // and one more round; the first cold key is evicted. A full
-                // cycle clears every bit, so the loop terminates.
-                while state.map.len() >= cap {
-                    let Some(hand) = state.ring.pop_front() else {
-                        break; // unreachable: map keys ⊆ ring
-                    };
-                    let Some(entry) = state.map.get(&hand) else {
-                        continue; // stale ring key (GC-purged entry)
-                    };
-                    if entry.referenced.swap(false, Ordering::Relaxed) {
-                        state.ring.push_back(hand);
-                        self.retained.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        state.map.remove(&hand);
-                        self.evicted.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        state.map.insert(
-            key,
-            MemoEntry {
-                value,
-                referenced: std::sync::atomic::AtomicBool::new(false),
-            },
-        );
-        state.ring.push_back(key);
-    }
-
-    /// Drops entries whose key mentions a freed node id. Their keys can
-    /// never be asked again (ids are not recycled), so they are pure
-    /// garbage — and their values may be the last references keeping
-    /// other nodes alive.
-    fn purge_freed(&self, freed: &FxHashSet<NodeId>) -> u64 {
-        let mut dropped = 0u64;
-        for shard in self.all_shards() {
-            let mut guard = write_counted(shard, &self.contended);
-            let MemoShardState { map, ring } = &mut *guard;
-            let before = map.len();
-            map.retain(|(a, b), _| !freed.contains(a) && !freed.contains(b));
-            let removed = before - map.len();
-            if removed > 0 {
-                ring.retain(|k| map.contains_key(k));
-            }
-            dropped += removed as u64;
-        }
-        self.swept.fetch_add(dropped, Ordering::Relaxed);
-        dropped
-    }
-
-    fn clear(&self) {
-        for shard in self.all_shards() {
-            let mut guard = write_counted(shard, &self.contended);
-            guard.map.clear();
-            guard.ring.clear();
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self.shards.get() {
-            Some(shards) => shards.iter().map(|s| s.read().map.len()).sum(),
-            None => 0,
-        }
-    }
-
-    fn stats(&self) -> MemoStats {
-        MemoStats {
-            entries: self.len(),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            contended: self.contended.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            retained: self.retained.load(Ordering::Relaxed),
-            swept: self.swept.load(Ordering::Relaxed),
-        }
-    }
-}
-
-static LE_MEMO: MemoTable<bool> = MemoTable::new();
-static UNION_MEMO: MemoTable<Object> = MemoTable::new();
-static INTERSECT_MEMO: MemoTable<Object> = MemoTable::new();
-
-fn symmetric(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// True when a pair of nodes is worth memoizing: both subtrees at least
-/// [`MEMO_MIN_SIZE`] nodes (smaller comparisons are cheaper than a lock
-/// round-trip on the shared table), and memoization is not disabled.
-fn memo_worthy(a: &Meta, b: &Meta) -> bool {
-    a.size >= MEMO_MIN_SIZE && b.size >= MEMO_MIN_SIZE && memo_policy() != MemoPolicy::Disabled
-}
-
-/// `a ≤ b` through the memo table (order-sensitive key), falling back to
-/// `compute` on a miss or when the pair is below the memo threshold.
-pub(crate) fn le_cached(
-    a: (NodeId, &Meta),
-    b: (NodeId, &Meta),
-    compute: impl FnOnce() -> bool,
-) -> bool {
-    if !memo_worthy(a.1, b.1) {
-        return compute();
-    }
-    let key = (a.0, b.0);
-    if let Some(r) = LE_MEMO.get(key) {
-        return r;
-    }
-    let r = compute();
-    LE_MEMO.put(key, r);
-    r
-}
-
-/// `a ∪ b` through the memo table (symmetric key — union commutes).
-pub(crate) fn union_cached(
-    a: (NodeId, &Meta),
-    b: (NodeId, &Meta),
-    compute: impl FnOnce() -> Object,
-) -> Object {
-    if !memo_worthy(a.1, b.1) {
-        return compute();
-    }
-    let key = symmetric(a.0, b.0);
-    if let Some(r) = UNION_MEMO.get(key) {
-        return r;
-    }
-    let r = compute();
-    UNION_MEMO.put(key, r.clone());
-    r
-}
-
-/// `a ∩ b` through the memo table (symmetric key — intersection commutes).
-pub(crate) fn intersect_cached(
-    a: (NodeId, &Meta),
-    b: (NodeId, &Meta),
-    compute: impl FnOnce() -> Object,
-) -> Object {
-    if !memo_worthy(a.1, b.1) {
-        return compute();
-    }
-    let key = symmetric(a.0, b.0);
-    if let Some(r) = INTERSECT_MEMO.get(key) {
-        return r;
-    }
-    let r = compute();
-    INTERSECT_MEMO.put(key, r.clone());
-    r
-}
-
-// ---------------------------------------------------------------------------
 // Garbage collection: pinned roots and the sweep
 // ---------------------------------------------------------------------------
 
@@ -991,14 +615,9 @@ pub struct SweepStats {
     pub freed_sets: usize,
     /// Nodes examined (live before the sweep).
     pub examined: usize,
-    /// Memo entries dropped because a key mentioned a freed id.
-    pub memo_entries_swept: u64,
     /// Columnar arena cache entries dropped because their set was freed
     /// (see [`crate::columnar`]).
     pub columnar_entries_swept: u64,
-    /// Mark/sweep passes run (> 1 when dropping memo values released
-    /// further nodes).
-    pub passes: u32,
     /// Budgeted slices the cycle ran in (1 when the cycle fit its pause
     /// budget, or when slicing is off — see [`gc_pause_budget_us`]).
     pub slices: u32,
@@ -1017,15 +636,13 @@ impl std::fmt::Display for SweepStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "sweep: freed {} of {} nodes ({} tuples, {} sets) in {} passes / {} slices, \
-             {} memo entries swept, {} columnar arenas swept, {} pinned roots",
+            "sweep: freed {} of {} nodes ({} tuples, {} sets) in {} slices, \
+             {} columnar arenas swept, {} pinned roots",
             self.freed_nodes(),
             self.examined,
             self.freed_tuples,
             self.freed_sets,
-            self.passes,
             self.slices,
-            self.memo_entries_swept,
             self.columnar_entries_swept,
             self.pinned_roots,
         )
@@ -1333,24 +950,19 @@ pub fn with_gc_paused<R>(f: impl FnOnce() -> R) -> R {
     result
 }
 
-/// Upper bound on mark/sweep passes per [`collect`]: each extra pass only
-/// chases nodes released by dropped memo values, a chain that is flat in
-/// practice. Anything deeper is left for the next collection.
-const MAX_SWEEP_PASSES: u32 = 8;
-
 /// Sweeps the interner, freeing every node unreachable from outside the
-/// store, and purges memo entries keyed by freed ids. Returns what it did.
+/// store, and purges columnar arenas cached for freed sets. Returns what
+/// it did.
 ///
 /// A node is **reachable** — and guaranteed to survive — iff something
 /// other than the store itself holds it: a live [`Object`] handle anywhere
-/// (including inside another retained node, a memo-table value, or any
-/// thread's L1 intern cache), or a pinned [`Root`]. The sweep runs in
-/// budgeted **slices** (see [`gc_pause_budget_us`]) that hold at most one
-/// shard lock at a time and release it between slices, so interning is
-/// paused for about one budget at worst — never the whole cycle. Candidates
-/// are processed deepest-first so a dead parent releases its children
-/// within the same pass, and the cycle re-runs (bounded by
-/// `MAX_SWEEP_PASSES`) when purging memo values released more nodes.
+/// (including inside another retained node, or any thread's L1 intern
+/// cache), or a pinned [`Root`]. The sweep runs in budgeted **slices**
+/// (see [`gc_pause_budget_us`]) that hold at most one shard lock at a time
+/// and release it between slices, so interning is paused for about one
+/// budget at worst — never the whole cycle. Candidates are processed
+/// deepest-first, so a dead parent releases its children before they are
+/// examined and one pass frees every dead tree, however deep.
 ///
 /// The cycle always runs on the caller's thread, one collection at a
 /// time — also with the collector thread on ([`gc_collector_enabled`]),
@@ -1399,7 +1011,8 @@ pub fn collect() -> SweepStats {
 /// [`co_obs`] registry.
 struct GcInstruments {
     /// Per-**slice** pause durations: how long each budgeted slice held
-    /// interner/memo locks (the time interners can actually be blocked).
+    /// interner or columnar-cache locks (the time interners can actually
+    /// be blocked).
     /// With slicing off (`set_gc_pause_budget_us(0)`) the single sample is
     /// the cycle's total lock-held time — the stop-the-world pause.
     pause_ns: std::sync::Arc<co_obs::Histogram>,
@@ -1475,7 +1088,7 @@ impl Slicer {
         }
     }
 
-    /// The sweep just acquired a shard or memo lock.
+    /// The sweep just acquired a shard or columnar-cache lock.
     fn locked(&mut self) {
         // Re-phase the probe counter so the first clock read of a fresh
         // region comes after at most 8 iterations, not up to a full
@@ -1567,7 +1180,7 @@ impl Slicer {
 /// slice's pause into the `store.gc_pause_ns` registry histogram, the
 /// whole cycle into `store.gc_cycle_ns`, and — when `CO_TRACE` is on —
 /// emits a `store.gc_sweep` span for the cycle. `paced` selects the
-/// collector thread's ≤50% duty cycle between slices (see [`Slicer`]).
+/// collector thread's ≤33% duty cycle between slices (see [`Slicer`]).
 fn collect_locked(paced: bool) -> SweepStats {
     let start = std::time::Instant::now();
     let stats = collect_locked_inner(paced);
@@ -1584,7 +1197,6 @@ fn collect_locked(paced: bool) -> SweepStats {
                     "freed_nodes",
                     co_obs::FieldValue::U64(stats.freed_nodes() as u64),
                 ),
-                ("passes", co_obs::FieldValue::U64(stats.passes as u64)),
                 (
                     "pinned_roots",
                     co_obs::FieldValue::U64(stats.pinned_roots as u64),
@@ -1611,9 +1223,10 @@ fn collect_locked(paced: bool) -> SweepStats {
 /// - **Deepest-first across slices**: candidates are gathered globally and
 ///   sorted by `(depth desc, shard)`, and slices never reorder them — a
 ///   parent (strictly deeper than its children) always drops before its
-///   children are examined, preserving single-pass completeness and the
-///   [`MAX_SWEEP_PASSES`] bound.
-/// - **Pins**: the pinned-id snapshot is taken once per pass; a node
+///   children are examined. Columnar arenas hold only atoms, so nothing
+///   else can keep a dead child alive past its parent: one pass frees
+///   every dead tree.
+/// - **Pins**: the pinned-id snapshot is taken once per cycle; a node
 ///   pinned *after* the snapshot is safe anyway because a [`Root`] holds a
 ///   strong reference, which the count check sees.
 fn collect_locked_inner(paced: bool) -> SweepStats {
@@ -1629,160 +1242,137 @@ fn collect_locked_inner(paced: bool) -> SweepStats {
     let mut slicer = Slicer::new(paced);
     let mut stats = SweepStats::default();
 
-    while stats.passes < MAX_SWEEP_PASSES {
-        stats.passes += 1;
-        let pinned: FxHashSet<NodeId> = pin_registry().lock().keys().copied().collect();
-        if stats.passes == 1 {
-            stats.pinned_roots = pinned.len();
-        }
-        // Gather candidates: every unpinned, pre-floor node. A big shard
-        // cannot be scanned under one lock hold without blowing the
-        // budget, so each shard's scan is **resumable**: snapshot its
-        // bucket keys under a brief lock — buckets are only ever *added*
-        // while this sweep holds the gate (removal is ours alone), so the
-        // key list is a stable cursor — then walk the keys in budgeted
-        // chunks, releasing the lock between them. Buckets added after
-        // the snapshot hold only post-floor nodes, which are out of scope
-        // for this cycle anyway. Liveness is re-checked at removal time
-        // under the write lock.
-        // Pre-sized to the store's id count (O(1) per shard): a doubling
-        // realloc of a 100k-entry worklist inside a gather region would
-        // add milliseconds to that slice's pause.
-        let expected: usize = all.iter().map(|s| s.read().ids.len()).sum();
-        let mut candidates: Vec<(u64, usize, bool, u64, NodeId)> = Vec::with_capacity(expected);
-        let mut live_seen = 0usize;
-        for (si, shard) in all.iter().enumerate() {
-            let (tuple_keys, set_keys) = {
-                let guard = shard.read();
-                slicer.locked();
-                let keys = (
-                    guard.tuples.keys().copied().collect::<Vec<u64>>(),
-                    guard.sets.keys().copied().collect::<Vec<u64>>(),
-                );
-                drop(guard);
-                slicer.unlocked();
-                keys
-            };
-            slicer.breakpoint();
-            // One chunked scan per map; the two maps' bucket types differ,
-            // so the macro stamps the same resumable loop for each.
-            macro_rules! chunked_scan {
-                ($keys:expr, $map:ident, $is_set:expr) => {
-                    let keys = $keys;
-                    let mut k = 0usize;
-                    while k < keys.len() {
-                        let guard = shard.read();
-                        slicer.locked();
-                        while k < keys.len() && !slicer.over_budget() {
-                            let hash = keys[k];
-                            k += 1;
-                            let Some(bucket) = guard.$map.get(&hash) else {
-                                continue;
-                            };
-                            live_seen += bucket.len();
-                            for node in bucket {
-                                if node.id.0 < id_floor && !pinned.contains(&node.id) {
-                                    candidates.push((node.meta.depth, si, $is_set, hash, node.id));
-                                }
-                            }
-                        }
-                        drop(guard);
-                        slicer.unlocked();
-                        slicer.breakpoint();
-                    }
-                };
-            }
-            chunked_scan!(tuple_keys, tuples, false);
-            chunked_scan!(set_keys, sets, true);
-        }
-        if stats.passes == 1 {
-            stats.examined = live_seen;
-        }
-        // Deepest-first globally; shard as tiebreak so equal-depth runs
-        // batch under one write-lock acquisition.
-        candidates.sort_unstable_by_key(|c| (std::cmp::Reverse(c.0), c.1));
+    let pinned: FxHashSet<NodeId> = pin_registry().lock().keys().copied().collect();
+    stats.pinned_roots = pinned.len();
 
-        // Pre-sized to the candidate count: a rehash of a 100k-id set
-        // inside a shard-lock region would blow any pause budget.
-        let mut freed: FxHashSet<NodeId> =
-            FxHashSet::with_capacity_and_hasher(candidates.len(), Default::default());
-        let mut i = 0usize;
-        while i < candidates.len() {
-            let run_shard = candidates[i].1;
-            {
-                let mut guard = all[run_shard].write();
-                slicer.locked();
-                while i < candidates.len() && candidates[i].1 == run_shard {
-                    if slicer.over_budget() {
-                        break;
-                    }
-                    let (_, _, is_set, hash, id) = candidates[i];
-                    i += 1;
-                    let mut removed = false;
-                    if is_set {
-                        if let Some(bucket) = guard.sets.get_mut(&hash) {
-                            if let Some(ix) = bucket.iter().position(|n| n.id == id) {
-                                // Strong count 1 = only the store's own
-                                // reference.
-                                if Arc::strong_count(&bucket[ix]) == 1 {
-                                    bucket.swap_remove(ix);
-                                    if bucket.is_empty() {
-                                        guard.sets.remove(&hash);
-                                    }
-                                    removed = true;
-                                    stats.freed_sets += 1;
-                                }
+    // Gather candidates: every unpinned, pre-floor node. A big shard
+    // cannot be scanned under one lock hold without blowing the
+    // budget, so each shard's scan is **resumable**: snapshot its
+    // bucket keys under a brief lock — buckets are only ever *added*
+    // while this sweep holds the gate (removal is ours alone), so the
+    // key list is a stable cursor — then walk the keys in budgeted
+    // chunks, releasing the lock between them. Buckets added after
+    // the snapshot hold only post-floor nodes, which are out of scope
+    // for this cycle anyway. Liveness is re-checked at removal time
+    // under the write lock.
+    // Pre-sized to the store's id count (O(1) per shard): a doubling
+    // realloc of a 100k-entry worklist inside a gather region would
+    // add milliseconds to that slice's pause.
+    let expected: usize = all.iter().map(|s| s.read().ids.len()).sum();
+    let mut candidates: Vec<(u64, usize, bool, u64, NodeId)> = Vec::with_capacity(expected);
+    let mut live_seen = 0usize;
+    for (si, shard) in all.iter().enumerate() {
+        let (tuple_keys, set_keys) = {
+            let guard = shard.read();
+            slicer.locked();
+            let keys = (
+                guard.tuples.keys().copied().collect::<Vec<u64>>(),
+                guard.sets.keys().copied().collect::<Vec<u64>>(),
+            );
+            drop(guard);
+            slicer.unlocked();
+            keys
+        };
+        slicer.breakpoint();
+        // One chunked scan per map; the two maps' bucket types differ,
+        // so the macro stamps the same resumable loop for each.
+        macro_rules! chunked_scan {
+            ($keys:expr, $map:ident, $is_set:expr) => {
+                let keys = $keys;
+                let mut k = 0usize;
+                while k < keys.len() {
+                    let guard = shard.read();
+                    slicer.locked();
+                    while k < keys.len() && !slicer.over_budget() {
+                        let hash = keys[k];
+                        k += 1;
+                        let Some(bucket) = guard.$map.get(&hash) else {
+                            continue;
+                        };
+                        live_seen += bucket.len();
+                        for node in bucket {
+                            if node.id.0 < id_floor && !pinned.contains(&node.id) {
+                                candidates.push((node.meta.depth, si, $is_set, hash, node.id));
                             }
                         }
-                    } else if let Some(bucket) = guard.tuples.get_mut(&hash) {
+                    }
+                    drop(guard);
+                    slicer.unlocked();
+                    slicer.breakpoint();
+                }
+            };
+        }
+        chunked_scan!(tuple_keys, tuples, false);
+        chunked_scan!(set_keys, sets, true);
+    }
+    stats.examined = live_seen;
+    // Deepest-first globally; shard as tiebreak so equal-depth runs
+    // batch under one write-lock acquisition.
+    candidates.sort_unstable_by_key(|c| (std::cmp::Reverse(c.0), c.1));
+
+    // Pre-sized to the candidate count: a rehash of a 100k-id set
+    // inside a shard-lock region would blow any pause budget.
+    let mut freed: FxHashSet<NodeId> =
+        FxHashSet::with_capacity_and_hasher(candidates.len(), Default::default());
+    let mut i = 0usize;
+    while i < candidates.len() {
+        let run_shard = candidates[i].1;
+        {
+            let mut guard = all[run_shard].write();
+            slicer.locked();
+            while i < candidates.len() && candidates[i].1 == run_shard {
+                if slicer.over_budget() {
+                    break;
+                }
+                let (_, _, is_set, hash, id) = candidates[i];
+                i += 1;
+                let mut removed = false;
+                if is_set {
+                    if let Some(bucket) = guard.sets.get_mut(&hash) {
                         if let Some(ix) = bucket.iter().position(|n| n.id == id) {
+                            // Strong count 1 = only the store's own
+                            // reference.
                             if Arc::strong_count(&bucket[ix]) == 1 {
                                 bucket.swap_remove(ix);
                                 if bucket.is_empty() {
-                                    guard.tuples.remove(&hash);
+                                    guard.sets.remove(&hash);
                                 }
                                 removed = true;
-                                stats.freed_tuples += 1;
+                                stats.freed_sets += 1;
                             }
                         }
                     }
-                    if removed {
-                        guard.ids.remove(&id);
-                        freed.insert(id);
+                } else if let Some(bucket) = guard.tuples.get_mut(&hash) {
+                    if let Some(ix) = bucket.iter().position(|n| n.id == id) {
+                        if Arc::strong_count(&bucket[ix]) == 1 {
+                            bucket.swap_remove(ix);
+                            if bucket.is_empty() {
+                                guard.tuples.remove(&hash);
+                            }
+                            removed = true;
+                            stats.freed_tuples += 1;
+                        }
                     }
                 }
+                if removed {
+                    guard.ids.remove(&id);
+                    freed.insert(id);
+                }
             }
-            // Write lock released: end the slice here if the budget is
-            // spent (interners parked on this shard get in), then resume —
-            // possibly re-acquiring the same shard for the rest of its run.
-            slicer.unlocked();
-            slicer.breakpoint();
         }
+        // Write lock released: end the slice here if the budget is
+        // spent (interners parked on this shard get in), then resume —
+        // possibly re-acquiring the same shard for the rest of its run.
+        slicer.unlocked();
+        slicer.breakpoint();
+    }
 
-        LIVE_NODES.fetch_sub(freed.len() as u64, Ordering::Relaxed);
-        if freed.is_empty() {
-            break;
-        }
-        // Memo entries keyed by a freed id are unreachable garbage (the id
-        // never comes back); dropping them may release the values' nodes,
-        // which the next pass collects. Purge granularity is one memo
-        // table per breakpoint — tables lock internally per shard, so the
-        // whole purge is charged as lock-held time.
+    LIVE_NODES.fetch_sub(freed.len() as u64, Ordering::Relaxed);
+    // The columnar arena cache is keyed by set ids, which never come back
+    // once freed: drop the entries of freed sets.
+    if !freed.is_empty() {
         slicer.locked();
-        stats.memo_entries_swept += LE_MEMO.purge_freed(&freed);
-        slicer.unlocked();
-        slicer.breakpoint();
-        slicer.locked();
-        stats.memo_entries_swept += UNION_MEMO.purge_freed(&freed);
-        slicer.unlocked();
-        slicer.breakpoint();
-        slicer.locked();
-        stats.memo_entries_swept += INTERSECT_MEMO.purge_freed(&freed);
-        slicer.unlocked();
-        slicer.breakpoint();
-        // The columnar arena cache is keyed by set ids the same way.
-        slicer.locked();
-        stats.columnar_entries_swept += crate::columnar::purge_freed(&freed);
+        stats.columnar_entries_swept = crate::columnar::purge_freed(&freed);
         slicer.unlocked();
         slicer.breakpoint();
     }
@@ -1814,44 +1404,26 @@ pub struct ShardStats {
     pub contended: u64,
 }
 
-/// Counters of one memo table (`≤`, `∪`, or `∩`).
+/// Hit/miss counters of a lattice-operation memo table. The store no
+/// longer memoizes `≤`, `∪` or `∩` — the operations run directly — so
+/// every value reported is zero. The type survives only so that readers of
+/// [`StoreStats::le_memo`] and its siblings keep compiling until the
+/// benchmark spine stops reading them (ROADMAP direction 1).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Entries currently cached (across all table shards).
-    pub entries: usize,
-    /// Lookups answered from the table.
+    /// Always zero: nothing is memoized.
     pub hits: u64,
-    /// Lookups that missed (the operation was then computed and cached).
+    /// Always zero: nothing is memoized.
     pub misses: u64,
-    /// Lock acquisitions that had to block behind another thread.
-    pub contended: u64,
-    /// Cold entries evicted one-by-one by the second-chance clock.
-    pub evicted: u64,
-    /// Second chances granted: the clock hand found the entry referenced
-    /// since its last visit, cleared the bit, and kept it.
-    pub retained: u64,
-    /// Entries dropped by [`collect`] because a key mentioned a freed node
-    /// id (pure garbage: freed ids never recur).
-    pub swept: u64,
 }
 
-impl MemoStats {
-    /// Fraction of lookups answered from the table, in `[0, 1]`; `None`
-    /// before the first lookup.
-    pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        (total > 0).then(|| self.hits as f64 / total as f64)
-    }
-}
-
-/// A point-in-time snapshot of store and memo-table state (diagnostics,
-/// benchmarks, capacity planning). Obtain one with [`stats`].
+/// A point-in-time snapshot of store state (diagnostics, benchmarks,
+/// capacity planning). Obtain one with [`stats`].
 ///
-/// Event counters (hits, misses, evictions, sweeps, …) are cumulative
-/// since process start and monotone, so snapshot deltas (`after - before`)
-/// measure a region of interest. Population gauges (node counts, memo
-/// `entries`, `pinned_roots`) move both ways once [`collect`] and memo
-/// eviction are in play.
+/// Event counters (hits, misses, sweeps, …) are cumulative since process
+/// start and monotone, so snapshot deltas (`after - before`) measure a
+/// region of interest. Population gauges (node counts, `pinned_roots`)
+/// move both ways once [`collect`] is in play.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Distinct interned tuple nodes.
@@ -1869,11 +1441,14 @@ pub struct StoreStats {
     pub intern_misses: u64,
     /// Shard-lock acquisitions that had to block, summed over shards.
     pub intern_contended: u64,
-    /// Counters of the `≤` memo table.
+    /// Always zero: `≤` is not memoized. Kept only until the benchmark
+    /// spine stops reading it (ROADMAP direction 1 deletes it).
     pub le_memo: MemoStats,
-    /// Counters of the `∪` memo table.
+    /// Always zero: `∪` is not memoized. Kept only until the benchmark
+    /// spine stops reading it (ROADMAP direction 1 deletes it).
     pub union_memo: MemoStats,
-    /// Counters of the `∩` memo table.
+    /// Always zero: `∩` is not memoized. Kept only until the benchmark
+    /// spine stops reading it (ROADMAP direction 1 deletes it).
     pub intersect_memo: MemoStats,
     /// [`collect`] calls since process start.
     pub gc_sweeps: u64,
@@ -1916,9 +1491,6 @@ pub fn stats() -> StoreStats {
     }
     s.intern_l1_hits = l1_hits_total();
     s.intern_hits += s.intern_l1_hits;
-    s.le_memo = LE_MEMO.stats();
-    s.union_memo = UNION_MEMO.stats();
-    s.intersect_memo = INTERSECT_MEMO.stats();
     s.gc_sweeps = GC_SWEEPS.load(Ordering::Relaxed);
     s.gc_freed_nodes = GC_FREED_NODES.load(Ordering::Relaxed);
     s.gc_auto_triggers = GC_AUTO_TRIGGERS.load(Ordering::Relaxed);
@@ -1940,18 +1512,6 @@ impl std::fmt::Display for StoreStats {
             "  intern: {} hits ({} thread-local), {} misses, {} contended acquisitions",
             self.intern_hits, self.intern_l1_hits, self.intern_misses, self.intern_contended
         )?;
-        for (label, m) in [
-            ("≤", self.le_memo),
-            ("∪", self.union_memo),
-            ("∩", self.intersect_memo),
-        ] {
-            writeln!(
-                f,
-                "  memo {}: {} entries, {} hits, {} misses, {} evicted, \
-                 {} retained, {} swept",
-                label, m.entries, m.hits, m.misses, m.evicted, m.retained, m.swept
-            )?;
-        }
         writeln!(
             f,
             "  gc: {} sweeps ({} auto, {} slices), {} nodes freed, {} live, {} pinned roots",

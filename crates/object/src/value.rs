@@ -385,7 +385,7 @@ impl Object {
     ///
     /// Two objects of the same kind are equal **iff** their node ids are
     /// equal — the id is the O(1) proxy for canonical equality that the
-    /// engine's indexes and the store's memo tables key off.
+    /// engine's indexes and the columnar arena cache key off.
     pub fn node_id(&self) -> Option<NodeId> {
         match self {
             Object::Tuple(t) => Some(t.node_id()),

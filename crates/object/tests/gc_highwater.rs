@@ -17,7 +17,11 @@ use std::sync::Mutex;
 
 static GATE: Mutex<()> = Mutex::new(());
 
-/// Restores the collector-thread mode it captured at construction.
+/// Restores the collector-thread mode it captured at construction, and
+/// flushes this thread's L1 intern cache: each test runs on its own
+/// thread, and nodes parked in a finished test's L1 would otherwise stay
+/// uncollectable — inflating the next test's live count and mark — until
+/// that thread exits.
 struct CollectorMode(bool);
 
 impl CollectorMode {
@@ -33,6 +37,7 @@ impl CollectorMode {
 impl Drop for CollectorMode {
     fn drop(&mut self) {
         store::set_gc_collector(self.0);
+        store::flush_thread_caches();
     }
 }
 
@@ -209,6 +214,7 @@ fn oversized_working_set_does_not_collect_per_intern() {
     let _held: Vec<Object> = (0..1_500)
         .map(|i| obj!([gc_hw_big: (i), w: {(i), (i * 7)}]))
         .collect();
+    store::collect(); // start from a garbage-free store
     let before = store::stats();
     with_high_water(0, |_| {
         // Mark is exactly the current live count: already at the mark.

@@ -2,7 +2,7 @@
 //! operator must be *bit-identical* to the supported interned path
 //! (`decode_relation` → `algebra` → `encode_relation`) — not just equal
 //! as values, but the very same `NodeId`, because callers downstream
-//! (memo tables, snapshots, the engine's set index) key on identity.
+//! (snapshots, the engine's set index) key on identity.
 //!
 //! The arena threshold is dropped to 2 rows so the generated relations —
 //! deliberately small, to let proptest shrink — actually take the

@@ -85,12 +85,12 @@ impl ServerInstruments {
 
 /// One `server.request` span per served request when `CO_TRACE` is on:
 /// the decoded→dequeued→handled→written stamps as durations. The `core`
-/// field is the constant `"pool"` (trace consumers key on it). Callers
-/// pass `queue_wait` `None` on paths where the request never sat in a
-/// queue.
+/// field is the constant `"pool"` (trace consumers key on it).
+/// `queue_wait` is the time the request sat in its session queue between
+/// decode and dequeue.
 pub(crate) fn emit_request_span(
     session: u64,
-    queue_wait: Option<Duration>,
+    queue_wait: Duration,
     handle: Duration,
     write: Duration,
     ok: bool,
@@ -102,7 +102,7 @@ pub(crate) fn emit_request_span(
             ("session", FieldValue::U64(session)),
             (
                 "queue_wait_ns",
-                FieldValue::U64(queue_wait.unwrap_or(Duration::ZERO).as_nanos() as u64),
+                FieldValue::U64(queue_wait.as_nanos() as u64),
             ),
             ("handle_ns", FieldValue::U64(handle.as_nanos() as u64)),
             ("write_ns", FieldValue::U64(write.as_nanos() as u64)),

@@ -260,7 +260,7 @@ fn drain_session(shared: &PoolShared, entry: &SessionEntry) {
                     if co_obs::trace_enabled() {
                         obs::emit_request_span(
                             entry.id,
-                            Some(queue_wait),
+                            queue_wait,
                             handle_elapsed.unwrap_or_default(),
                             write_elapsed,
                             sent,

@@ -90,10 +90,10 @@ fn main() {
 
     // -----------------------------------------------------------------
     // 6. The hash-consed store behind it all: every composite built above
-    //    was interned (canonical equality = pointer equality), and the
-    //    lattice operations were memoized. The counters tell the story;
-    //    shrink the memo capacity with `store::set_memo_shard_cap` or force
-    //    parallel evaluation with `Engine::threads` to watch them change.
+    //    was interned (canonical equality = pointer equality), so
+    //    rebuilding a value is an intern hit. The counters tell the story;
+    //    force parallel evaluation with `Engine::threads` to watch them
+    //    change.
     // -----------------------------------------------------------------
     println!("\n{}", complex_objects::object::store::stats());
 

@@ -22,8 +22,8 @@
 //!   in a hash-consed store** ([`object::store`]): canonically equal values
 //!   share one allocation, so `==` is a pointer comparison, hashes are
 //!   cached words, every node has a stable [`object::NodeId`] and
-//!   precomputed [`object::Meta`] (depth, size, contains-set/flat flags),
-//!   and the binary lattice operations are memoized by node-id pair.
+//!   precomputed [`object::Meta`] (depth, size, contains-set/flat flags)
+//!   that gives the lattice operations O(1) fast rejects.
 //! - [`parser`] (`crates/parser`, `co_parser`) — the paper's
 //!   Prolog-flavoured concrete syntax for objects, formulae, rules, and
 //!   programs.

@@ -276,13 +276,14 @@ fn collector_thread_bounds_pauses_and_keeps_collect_synchronous() {
         "2×30k tuple+set transients must be reclaimed, got {}",
         after.gc_freed_nodes - before.gc_freed_nodes
     );
-    // `passes >= 1` proves the caller got a *completed cycle's* stats
-    // back (a default/empty `SweepStats` has 0 passes). `examined` can
+    // `slices >= 1` proves the caller got a *completed cycle's* stats
+    // back (every finished cycle records at least one slice; a
+    // default/empty `SweepStats` has 0). `examined` can
     // legitimately be 0 here: the collector's last nudge-driven cycle may
     // have already reclaimed every transient before this call took the
     // gate.
     assert!(
-        sweep.passes >= 1,
+        sweep.slices >= 1,
         "a synchronous collect with the collector on returns real stats"
     );
 
@@ -330,7 +331,7 @@ fn concurrent_explicit_collects_serialise_on_the_gate() {
     let after = store::stats();
 
     for sweep in &sweeps {
-        assert!(sweep.passes >= 1, "each caller ran a whole cycle: {sweep}");
+        assert!(sweep.slices >= 1, "each caller ran a whole cycle: {sweep}");
     }
     assert!(
         after.gc_sweeps - before.gc_sweeps >= 2,

@@ -112,7 +112,9 @@ fn reachable_nodes_survive_every_sweep_with_identity() {
 }
 
 /// Freed ids never come back: the same value re-interned after a sweep is
-/// a *new* node, and the old id stays permanently dead.
+/// a *new* node, and the old id stays permanently dead. A dead object
+/// nested 20 levels deep (alternating tuple and set) also pins down that
+/// one sweep frees a whole dead tree, not just its top layers.
 #[test]
 fn dangling_ids_stay_detectable_and_are_never_recycled() {
     let _g = soak_lock();
@@ -120,8 +122,30 @@ fn dangling_ids_stay_detectable_and_are_never_recycled() {
         let o = transient("gc_dangle", 424_242);
         o.node_id().unwrap()
     };
+    let deep_ids: Vec<_> = {
+        let mut level = Object::int(525_252);
+        let mut ids = Vec::new();
+        for depth in 0..20 {
+            level = if depth % 2 == 0 {
+                Object::tuple([
+                    ("gc_deep_nest", level),
+                    ("gc_deep_level", Object::int(depth)),
+                ])
+            } else {
+                Object::set([level, Object::int(525_252 + depth)])
+            };
+            ids.push(level.node_id().unwrap());
+        }
+        ids
+    }; // only the store references the 20 levels from here on
     store::collect();
     assert!(!store::contains_node(old_id), "dropped node must be swept");
+    for (depth, id) in deep_ids.iter().enumerate() {
+        assert!(
+            !store::contains_node(*id),
+            "level {depth} of the dead nested object survived one sweep"
+        );
+    }
     let rebuilt = transient("gc_dangle", 424_242);
     let new_id = rebuilt.node_id().unwrap();
     assert_ne!(new_id, old_id, "ids must never be recycled");

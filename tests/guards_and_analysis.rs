@@ -1,11 +1,12 @@
 //! Failure injection and the safety/maintenance features around the
 //! engine: every guard dimension, static divergence analysis, and
-//! incremental view maintenance under adversarial additions.
+//! re-closing a closed database after a monotone addition.
 
 mod common;
 
 use co_calculus::{analyse, ClosureMode};
-use co_engine::{EngineError, Materialized};
+use co_engine::EngineError;
+use co_object::lattice::union;
 use complex_objects::prelude::*;
 use std::time::Duration;
 
@@ -123,27 +124,25 @@ fn paper_literal_mode_with_guards() {
 
 #[test]
 fn materialized_view_survives_guard_failures() {
-    // A view over a safe program; an addition that makes it diverge is
-    // rejected and the view keeps its previous (consistent) state.
-    let safe = parse_program("[reach: {X}] :- [start: {X}].").unwrap();
-    let base = parse_object("[start: {0}]").unwrap();
-    // The diverging program cannot even materialize.
-    let failed = Materialized::new(
-        Engine::new(diverging_program()).guard(Guard {
+    // A guarded diverging program fails instead of closing.
+    let failed = Engine::new(diverging_program())
+        .guard(Guard {
             max_iterations: 10,
             ..Guard::default()
-        }),
-        &parse_object("[list: {}]").unwrap(),
-    );
+        })
+        .run(&parse_object("[list: {}]").unwrap());
     assert!(failed.is_err());
 
-    // The safe program materializes and refreshes fine.
-    let mut view = Materialized::new(Engine::new(safe), &base).unwrap();
-    view.add(&parse_object("[start: {1}]").unwrap()).unwrap();
-    assert_eq!(
-        view.database().dot("reach"),
-        &parse_object("{0, 1}").unwrap()
-    );
+    // A safe program's closed database (the materialized view) re-closes
+    // after a monotone addition by running again on `closed ∪ addition`.
+    let safe = Engine::new(parse_program("[reach: {X}] :- [start: {X}].").unwrap());
+    let closed = safe
+        .run(&parse_object("[start: {0}]").unwrap())
+        .unwrap()
+        .database;
+    let grown = union(&closed, &parse_object("[start: {1}]").unwrap());
+    let reclosed = safe.run(&grown).unwrap().database;
+    assert_eq!(reclosed.dot("reach"), &parse_object("{0, 1}").unwrap());
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //! adding (or removing) a knob means editing a list a reviewer sees, plus
 //! its documentation. The library crates below the serving layer take
 //! configuration only through typed setters and builders: none of them
-//! reads the environment at all.
+//! reads the environment at all, and the object store's runtime setters
+//! are pinned by name too.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -22,6 +23,14 @@ const KNOBS: [(&str, &str); 8] = [
     ("CO_SERVER_SESSION_QUEUE", "crates/server/src/lib.rs"),
     ("CO_SERVER_WORKERS", "crates/server/src/lib.rs"),
     ("CO_TRACE", "crates/obs/src/trace.rs"),
+];
+
+/// The object crate's runtime options: its top-level `pub fn set_*` items.
+const OBJECT_SETTERS: [&str; 4] = [
+    "set_columnar_min_rows",
+    "set_gc_collector",
+    "set_gc_high_water",
+    "set_gc_pause_budget_us",
 ];
 
 /// The library crates that must not read the environment.
@@ -133,4 +142,27 @@ fn the_library_crates_do_not_read_the_environment() {
             );
         }
     }
+}
+
+#[test]
+fn the_object_store_setters_are_exactly_the_documented_four() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/object/src"), &mut files);
+    let mut found = BTreeSet::new();
+    for file in files {
+        let source = std::fs::read_to_string(&file).unwrap();
+        let shipped = source.split("#[cfg(test)]").next().unwrap_or_default();
+        for line in shipped.lines() {
+            if let Some(rest) = line.strip_prefix("pub fn set_") {
+                let name_len = rest.find('(').unwrap_or(rest.len());
+                found.insert(format!("set_{}", &rest[..name_len]));
+            }
+        }
+    }
+    let found: Vec<&str> = found.iter().map(String::as_str).collect();
+    assert_eq!(
+        found, OBJECT_SETTERS,
+        "co-object's runtime setters changed: a new store option is an edit to OBJECT_SETTERS"
+    );
 }

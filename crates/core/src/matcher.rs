@@ -26,6 +26,46 @@
 //! `tests/calculus_semantics.rs` check exactly this soundness/maximality
 //! contract.
 //!
+//! # Goal order
+//!
+//! The pending goals form a stack, but the search does not simply pop
+//! its top: it solves the most-bound goal first (sideways information
+//! passing; Bancilhon & Ramakrishnan, SIGMOD 1986). Each goal gets a
+//! [`GoalRank`], best first:
+//!
+//! 1. no choice point — a structural sub-goal or an exhausted set formula;
+//! 2. an **exact probe** — a set member that is an atom constant, or
+//!    (under [`MatchPolicy::Strict`]) a variable already bound to an atom.
+//!    It can match only the equal element, and canonical sets are sorted,
+//!    so its candidates come from one binary search: 0 or 1 of them;
+//! 3. a tuple member with a constant or bound-atom attribute — what an
+//!    attribute index narrows;
+//! 4. in the semi-naive matcher only, a goal whose delta is not `Clean`;
+//! 5. a scan.
+//!
+//! Ties go to the smaller set, then to the goal nearest the top of the
+//! stack, so bodies whose order already was right enumerate as before.
+//! The chosen goal is removed and, on return, re-inserted where it was, so
+//! the stack is restored exactly.
+//!
+//! Two members are never probes: a variable under [`MatchPolicy::Literal`]
+//! (it may bind ⊥ against a different element, and Literal keeps that
+//! substitution), and a variable bound to a tuple or set (`≤` admits
+//! larger elements).
+//!
+//! The order changes only the enumeration, never the substitution set: a
+//! substitution is one witness per set member, and the bindings it emits
+//! are meets of the same constraints, which commute; Strict's ⊥ pruning is
+//! monotone (a binding that reaches ⊥ stays ⊥), so it prunes the same
+//! choice functions whenever it fires. `MatchStats::matches` is therefore
+//! order-independent and only `candidates_tried` moves.
+//!
+//! Because the order follows binding, not attribute ids, the cost of a
+//! rule body does not depend on which attribute the process interned
+//! first. Popping goals in attribute-id order made the paper's Example 4.5
+//! quadratic in one interning order and linear in the other;
+//! `tests/goal_order.rs` pins both orders to linear.
+//!
 //! # Policies
 //!
 //! [`MatchPolicy::Literal`] keeps every emitted substitution — Definition
@@ -36,8 +76,9 @@
 
 use crate::{Formula, Substitution, Var};
 use co_object::lattice::intersect;
-use co_object::{Object, Set};
+use co_object::{Atom, Object, Set};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::cmp::Ordering;
 
 /// Which substitutions count as matches (see module docs and DESIGN.md §3.3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -98,6 +139,106 @@ impl MatchStats {
         self.raw_matches += other.raw_matches;
         self.matches += other.matches;
     }
+}
+
+/// The cost rank of a pending goal: the search solves the lowest rank
+/// first (see [Goal order](self#goal-order)). Variants are declared in
+/// rank order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum GoalRank {
+    /// No choice point: a structural sub-goal or an exhausted set formula.
+    Determined,
+    /// A set member that matches exactly one element value; see
+    /// [`exact_probe`].
+    Probe,
+    /// A tuple member with a constant or bound-atom attribute.
+    Indexable,
+    /// A scan over a set that still holds changed elements (assigned by
+    /// the semi-naive matcher only).
+    Delta,
+    /// A scan.
+    Scan,
+}
+
+/// The atom `member` must equal, when it is one: an atom constant under
+/// every policy, or under [`MatchPolicy::Strict`] a variable bound to an
+/// atom (any other element would meet it down to ⊥, which Strict prunes).
+fn probe_atom<'r, 'm: 'r, 'o: 'r>(
+    member: &'m Formula,
+    policy: MatchPolicy,
+    bound: impl Fn(Var) -> Option<&'o Object>,
+) -> Option<&'r Atom> {
+    match member {
+        Formula::Atom(a) => Some(a),
+        Formula::Var(v) if policy == MatchPolicy::Strict => match bound(*v) {
+            Some(Object::Atom(a)) => Some(a),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The witnesses of `member` in `set` when `member` is an exact probe:
+/// `Some(Some(i))` when element `i` is the one it can match, `Some(None)`
+/// when that element is absent, and `None` when `member` is not a probe
+/// (the caller scans or asks its [`Prefilter`]). `bound` looks up the
+/// variable bindings made so far.
+///
+/// Canonical sets are sorted, so this is one binary search and allocates
+/// nothing.
+pub fn exact_probe<'o>(
+    set: &Set,
+    member: &Formula,
+    policy: MatchPolicy,
+    bound: impl Fn(Var) -> Option<&'o Object>,
+) -> Option<Option<usize>> {
+    let atom = probe_atom(member, policy, bound)?;
+    // Canonical order ranks ⊥ < atoms < tuples < sets.
+    let found = set.elements().binary_search_by(|e| match e {
+        Object::Atom(b) => b.cmp(atom),
+        Object::Bottom => Ordering::Less,
+        _ => Ordering::Greater,
+    });
+    Some(found.ok())
+}
+
+/// The [`GoalRank`] of a set-formula goal whose next member is `member`:
+/// [`GoalRank::Probe`], [`GoalRank::Indexable`] or [`GoalRank::Scan`].
+pub fn member_rank<'o>(
+    member: &Formula,
+    policy: MatchPolicy,
+    bound: impl Fn(Var) -> Option<&'o Object>,
+) -> GoalRank {
+    if probe_atom(member, policy, &bound).is_some() {
+        return GoalRank::Probe;
+    }
+    match member {
+        Formula::Tuple(entries)
+            if entries
+                .iter()
+                .any(|(_, f)| probe_atom(f, policy, &bound).is_some()) =>
+        {
+            GoalRank::Indexable
+        }
+        _ => GoalRank::Scan,
+    }
+}
+
+/// The position in `goals` (a stack, top last) of the goal to solve next:
+/// the lowest `key` — a rank and the size of the goal's set — with ties
+/// going to the goal nearest the top.
+pub fn next_goal<G>(goals: &[G], key: impl Fn(&G) -> (GoalRank, usize)) -> Option<usize> {
+    let mut best: Option<(usize, (GoalRank, usize))> = None;
+    for (j, g) in goals.iter().enumerate().rev() {
+        let k = key(g);
+        if k.0 == GoalRank::Determined {
+            return Some(j);
+        }
+        if best.is_none_or(|(_, b)| k < b) {
+            best = Some((j, k));
+        }
+    }
+    best.map(|(j, _)| j)
 }
 
 /// One conjunctive sub-goal. `Copy` (all references) so the search can push
@@ -173,19 +314,32 @@ impl<'a> Search<'a> {
         self.out.insert(subst);
     }
 
-    /// Depth-first search over the conjunctive goal stack. On return the
-    /// stack and the binding map are exactly as on entry (the trail restores
-    /// bindings at each choice point; goals are pushed back verbatim).
+    /// The goal-order key of a pending goal (see [Goal order](self#goal-order)).
+    fn goal_key(&self, goal: &Goal<'a>) -> (GoalRank, usize) {
+        match goal {
+            Goal::Members([first, ..], set) => (
+                member_rank(first, self.policy, |v| self.bindings.get(&v)),
+                set.len(),
+            ),
+            Goal::Sub(..) | Goal::Members([], _) => (GoalRank::Determined, 0),
+        }
+    }
+
+    /// Depth-first search over the conjunctive goal stack, best goal first.
+    /// On return the stack and the binding map are exactly as on entry (the
+    /// trail restores bindings at each choice point; the chosen goal goes
+    /// back to the position it was taken from).
     fn solve(&mut self, stack: &mut Vec<Goal<'a>>) {
-        let Some(goal) = stack.pop() else {
+        let Some(j) = next_goal(stack, |g| self.goal_key(g)) else {
             self.emit();
             return;
         };
+        let goal = stack.remove(j);
         match goal {
             Goal::Sub(f, o) => self.solve_sub(f, o, stack),
             Goal::Members(ms, s) => self.solve_members(ms, s, stack),
         }
-        stack.push(goal);
+        stack.insert(j, goal);
     }
 
     fn solve_sub(&mut self, f: &'a Formula, o: &'a Object, stack: &mut Vec<Goal<'a>>) {
@@ -231,6 +385,12 @@ impl<'a> Search<'a> {
             self.solve(stack);
             return;
         };
+        if let Some(hit) = exact_probe(set, first, self.policy, |v| self.bindings.get(&v)) {
+            if let Some(i) = hit {
+                self.try_witness(first, rest, set, &set.elements()[i], stack);
+            }
+            return;
+        }
         let candidates = {
             let bindings = &self.bindings;
             let lookup = |v: Var| bindings.get(&v).cloned();
@@ -515,6 +675,52 @@ mod tests {
         assert_eq!(ms.len(), 1);
         // X ≤ {1,2} and X ≤ {1,3}: maximal X is the glb {1}.
         assert_eq!(ms[0].get(x()), Some(&obj!({ 1 })));
+    }
+
+    #[test]
+    fn member_rank_follows_binding_and_policy() {
+        let one = obj!(1);
+        let pair = obj!([a: 1]);
+        let bound = |v: Var| {
+            if v == x() {
+                Some(&one)
+            } else if v == y() {
+                Some(&pair)
+            } else {
+                None
+            }
+        };
+        let rank = |f: Formula, p| member_rank(&f, p, bound);
+        for p in [MatchPolicy::Strict, MatchPolicy::Literal] {
+            assert_eq!(rank(wff!(7), p), GoalRank::Probe);
+            assert_eq!(rank(wff!([a: 7, b: (z())]), p), GoalRank::Indexable);
+            assert_eq!(rank(wff!((y())), p), GoalRank::Scan);
+            assert_eq!(rank(wff!((z())), p), GoalRank::Scan);
+            assert_eq!(rank(wff!([b: (z())]), p), GoalRank::Scan);
+        }
+        // Only Strict turns an atom binding into an equality test.
+        assert_eq!(rank(wff!((x())), MatchPolicy::Strict), GoalRank::Probe);
+        assert_eq!(rank(wff!((x())), MatchPolicy::Literal), GoalRank::Scan);
+        assert_eq!(
+            rank(wff!([a: (x())]), MatchPolicy::Strict),
+            GoalRank::Indexable
+        );
+        assert_eq!(rank(wff!([a: (x())]), MatchPolicy::Literal), GoalRank::Scan);
+    }
+
+    #[test]
+    fn next_goal_takes_the_lowest_key_and_breaks_ties_towards_the_top() {
+        use GoalRank::*;
+        let pick = |keys: &[(GoalRank, usize)]| next_goal(keys, |k| *k);
+        assert_eq!(pick(&[]), None);
+        assert_eq!(pick(&[(Scan, 5), (Probe, 9), (Scan, 1)]), Some(1));
+        assert_eq!(pick(&[(Scan, 5), (Scan, 3), (Scan, 3)]), Some(2));
+        assert_eq!(
+            pick(&[(Determined, 0), (Probe, 1), (Determined, 0)]),
+            Some(2)
+        );
+        assert_eq!(pick(&[(Determined, 0), (Probe, 1)]), Some(0));
+        assert_eq!(pick(&[(Scan, 2), (Delta, 50), (Indexable, 90)]), Some(2));
     }
 
     #[test]

@@ -18,8 +18,13 @@
 //! [`GcCadence`](crate::GcCadence) — are deliberately **not** persisted:
 //! they never affect results (bit-identical fixpoints and traces are the
 //! engine's contract), and the restoring host's core count and memory
-//! budget are what should pick them. A restored engine resolves both from
-//! the environment, exactly like [`Engine::new`].
+//! budget are what should pick them. A restored engine starts from the
+//! defaults, exactly like [`Engine::new`]: [`Parallelism::Sequential`]
+//! and [`GcCadence::Off`]; the caller chooses others with
+//! [`Engine::parallelism`] and [`Engine::gc_cadence`].
+//!
+//! [`Parallelism::Sequential`]: crate::Parallelism::Sequential
+//! [`GcCadence::Off`]: crate::GcCadence::Off
 //!
 //! The database is pinned as a GC root for the duration of the write, so
 //! a concurrent or auto-triggered [`co_object::store::collect`] can never
@@ -119,8 +124,8 @@ impl From<WireError> for CheckpointError {
 #[derive(Clone, Debug)]
 pub struct Restored {
     /// An engine with the persisted program and semantic configuration
-    /// (parallelism and GC cadence re-resolved from this host's
-    /// environment). The restored chain is its live checkpoint handle,
+    /// (parallelism and GC cadence at their defaults, as from
+    /// [`Engine::new`]). The restored chain is its live checkpoint handle,
     /// so a further [`Engine::checkpoint`] continues it with a delta.
     pub engine: Engine,
     /// The database object at checkpoint time, re-interned canonically.
@@ -494,7 +499,7 @@ impl Engine {
 
     /// Loads a checkpoint written by [`Engine::checkpoint`], returning
     /// the restored engine (program + semantic configuration; parallelism
-    /// and GC cadence from this host's environment) and the database.
+    /// and GC cadence at their defaults) and the database.
     ///
     /// The database is re-interned bottom-up through the canonicalizing
     /// constructors, so it deduplicates against whatever this process's

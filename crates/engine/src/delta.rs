@@ -56,10 +56,8 @@ impl Delta {
     /// A conservative count of this delta's new-marked regions: every
     /// `true` set-element flag counts one, and a bare `New` sub-tree —
     /// whose extent is unknown without the object it describes —
-    /// saturates to `u64::MAX`. Tiny-delta heuristics (the engine's
-    /// fan-out skip) compare this against a small threshold, so the
-    /// saturation guarantees a wholesale change is never mistaken for a
-    /// small one.
+    /// saturates to `u64::MAX`. The engine reports it as the
+    /// `delta_marks` field of its `engine.round` trace span.
     pub fn new_marks(&self) -> u64 {
         match self {
             Delta::Clean => 0,

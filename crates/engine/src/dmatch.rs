@@ -11,11 +11,19 @@
 //! The equivalence `semi-naive ≡ naive` is checked property-style in
 //! `tests/engine_equivalence.rs`.
 //!
+//! Goals are chosen in the cost order of `co_calculus::matcher` (its
+//! "Goal order" section), through the same shared helpers, with one extra
+//! rank: among the remaining scans, a set whose delta is not `Clean` goes
+//! first, so a semi-naive round starts from its Δ goal.
+//!
 //! # Partitioned matching (parallel evaluation)
 //!
 //! The search tree of one rule body has exactly one *root* choice point:
 //! the first set-member witness loop reached on the (deterministic) path
-//! from the root formula. [`delta_match_part`] splits that loop by witness
+//! from the root formula, under that goal order. Until then every goal
+//! solved has no choice point, so the path is one path; the root choice
+//! point may be an exact probe with 0 or 1 candidates, or a scan.
+//! [`delta_match_part`] splits that loop by witness
 //! position modulo a [`Partition`]: part `i` of `n` tries only candidates
 //! at positions `≡ i (mod n)`. The parts' solution sets are therefore
 //! (a) collectively exhaustive — every candidate position belongs to some
@@ -27,6 +35,7 @@
 //! to sequential evaluation's.
 
 use crate::delta::Delta;
+use co_calculus::matcher::{exact_probe, member_rank, next_goal, GoalRank};
 use co_calculus::{Formula, MatchPolicy, MatchStats, Prefilter, Substitution, Var};
 use co_object::lattice::intersect;
 use co_object::{Object, Set};
@@ -148,16 +157,34 @@ impl<'a> Search<'a> {
         self.out.insert(subst);
     }
 
+    /// The goal-order key of a pending goal: the shared calculus rank, with
+    /// scans over a changed set promoted to [`GoalRank::Delta`].
+    fn goal_key(&self, goal: &Goal<'a>) -> (GoalRank, usize) {
+        match goal {
+            Goal::Members([first, ..], set, d) => {
+                let rank = match member_rank(first, self.policy, |v| self.bindings.get(&v)) {
+                    GoalRank::Scan if !matches!(d, Delta::Clean) => GoalRank::Delta,
+                    rank => rank,
+                };
+                (rank, set.len())
+            }
+            Goal::Sub(..) | Goal::Members([], ..) => (GoalRank::Determined, 0),
+        }
+    }
+
+    /// Depth-first search, best goal first; the stack is restored on
+    /// return (see `co_calculus::matcher`).
     fn solve(&mut self, stack: &mut Vec<Goal<'a>>) {
-        let Some(goal) = stack.pop() else {
+        let Some(j) = next_goal(stack, |g| self.goal_key(g)) else {
             self.emit();
             return;
         };
+        let goal = stack.remove(j);
         match goal {
             Goal::Sub(f, o, d) => self.solve_sub(f, o, d, stack),
             Goal::Members(ms, s, d) => self.solve_members(ms, s, d, stack),
         }
-        stack.push(goal);
+        stack.insert(j, goal);
     }
 
     /// Runs `body` with the dirty flag additionally set when this step
@@ -256,6 +283,12 @@ impl<'a> Search<'a> {
                 && dirty_flags.map(|f| f.get(i) == Some(&true)).unwrap_or(true)
         };
 
+        if let Some(hit) = exact_probe(set, first, self.policy, |v| self.bindings.get(&v)) {
+            if let Some(i) = hit.filter(|&i| admissible(i)) {
+                self.try_witness(first, rest, set, d, &set.elements()[i], d.element(i), stack);
+            }
+            return;
+        }
         let candidates = {
             let bindings = &self.bindings;
             let lookup = |v: Var| bindings.get(&v).cloned();
@@ -362,7 +395,7 @@ pub fn delta_match_part(
 mod tests {
     use super::*;
     use crate::delta::diff;
-    use co_calculus::{matches, wff, ScanAll};
+    use co_calculus::{match_with, matches, wff, ScanAll};
     use co_object::obj;
 
     fn x() -> Var {
@@ -374,6 +407,120 @@ mod tests {
 
     fn dm(f: &Formula, o: &Object, d: &Delta) -> Vec<Substitution> {
         delta_match(f, o, d, MatchPolicy::Strict, &ScanAll).0
+    }
+
+    /// Matches through both matchers with `ScanAll` — the naive one and
+    /// the semi-naive one over an all-`New` delta — checks that they agree
+    /// on the substitutions and the candidates tried, and returns the
+    /// naive result.
+    fn both(f: &Formula, o: &Object, policy: MatchPolicy) -> (Vec<Substitution>, MatchStats) {
+        let naive = match_with(f, o, policy, &ScanAll);
+        let semi = delta_match(f, o, &Delta::New, policy, &ScanAll);
+        assert_eq!(naive.0, semi.0, "{f} under {policy:?}");
+        assert_eq!(
+            naive.1.candidates_tried, semi.1.candidates_tried,
+            "{f} under {policy:?}"
+        );
+        naive
+    }
+
+    /// `[r: {0, 1, …, 199, "s", [a: 1], {1}}]`: atoms of two kinds plus a
+    /// tuple and a set, so a probe's binary search crosses kinds.
+    fn wide_db() -> Object {
+        let elements =
+            (0..200)
+                .map(Object::int)
+                .chain([Object::str("s"), obj!([a: 1]), obj!({ 1 })]);
+        Object::tuple([("r", Object::set(elements))])
+    }
+
+    #[test]
+    fn constant_member_is_one_binary_search() {
+        let db = wide_db();
+        for policy in [MatchPolicy::Strict, MatchPolicy::Literal] {
+            let (ms, stats) = both(&wff!([r: {7}]), &db, policy);
+            assert_eq!((ms.len(), stats.candidates_tried), (1, 1));
+            let (ms, stats) = both(&wff!([r: {s}]), &db, policy);
+            assert_eq!((ms.len(), stats.candidates_tried), (1, 1));
+            let (ms, stats) = both(&wff!([r: {700}]), &db, policy);
+            assert_eq!((ms.len(), stats.candidates_tried), (0, 0));
+        }
+    }
+
+    #[test]
+    fn variable_bound_to_an_atom_probes_under_strict_only() {
+        let db = Object::tuple([("k", obj!(7)), ("r", wide_db().dot("r").clone())]);
+        let f = wff!([k: (x()), r: {(x())}]);
+        let (strict, stats) = both(&f, &db, MatchPolicy::Strict);
+        assert_eq!(stats.candidates_tried, 1);
+        assert_eq!(strict.len(), 1);
+        assert_eq!(strict[0].get(x()), Some(&obj!(7)));
+        // Literal keeps the ⊥ meet of 7 with every other element, so the
+        // member must be scanned: the ⊥ substitution is still emitted.
+        let (literal, stats) = both(&f, &db, MatchPolicy::Literal);
+        assert_eq!(stats.candidates_tried, 203);
+        let bindings: Vec<&Object> = literal.iter().map(|s| s.get(x()).unwrap()).collect();
+        assert_eq!(bindings, [&Object::Bottom, &obj!(7)]);
+    }
+
+    #[test]
+    fn variable_bound_to_a_tuple_still_matches_larger_elements() {
+        let db = obj!([k: [a: 1], r: {[a: 1, b: 2], [a: 3]}]);
+        let f = wff!([k: (x()), r: {(x())}]);
+        let (ms, stats) = both(&f, &db, MatchPolicy::Strict);
+        // Not an equality test: both elements are tried, and [a: 1] ≤
+        // [a: 1, b: 2] keeps X = [a: 1].
+        assert_eq!(stats.candidates_tried, 2);
+        assert!(ms.iter().any(|s| s.get(x()) == Some(&obj!([a: 1]))));
+    }
+
+    #[test]
+    fn a_probe_keeps_the_dirty_flag_restriction() {
+        let old = obj!([r: {1, 2}]);
+        let new = obj!([r: {1, 2, 3}]);
+        let d = diff(&old, &new);
+        // Element 3 is new: it is the increment.
+        let (ms, stats) = delta_match(&wff!([r: {3}]), &new, &d, MatchPolicy::Strict, &ScanAll);
+        assert_eq!((ms.len(), stats.candidates_tried), (1, 1));
+        // Element 2 is clean: the previous round derived it already.
+        let (ms, stats) = delta_match(&wff!([r: {2}]), &new, &d, MatchPolicy::Strict, &ScanAll);
+        assert_eq!((ms.len(), stats.candidates_tried), (0, 0));
+    }
+
+    #[test]
+    fn partitions_of_a_probe_root_choice_point_cover_the_full_match() {
+        // The probe `{7}` ranks before the scan `{X}`, so it is the root
+        // choice point the partition slices: one part holds its only
+        // candidate, and the scan below it runs in full there.
+        let old = obj!([r: {5, 7, 9}, s: {a, b}]);
+        let new = obj!([r: {5, 7, 9}, s: {a, b, c}]);
+        let f = wff!([r: {7}, s: {(x())}]);
+        for (db, d) in [(&new, Delta::New), (&new, diff(&old, &new))] {
+            let full = dm(&f, db, &d);
+            assert!(!full.is_empty());
+            for of in [1usize, 2, 3, 4] {
+                let mut parts = Vec::new();
+                let mut tried = 0;
+                for index in 0..of {
+                    let (substs, stats) = delta_match_part(
+                        &f,
+                        db,
+                        &d,
+                        MatchPolicy::Strict,
+                        &ScanAll,
+                        Some(Partition { index, of }),
+                    );
+                    parts.extend(substs);
+                    tried += stats.candidates_tried;
+                }
+                parts.sort_by(|a, b| a.iter().cmp(b.iter()));
+                parts.dedup();
+                assert_eq!(parts, full, "of={of}");
+                // The probe was sliced, not repeated in every part.
+                let unsliced = delta_match(&f, db, &d, MatchPolicy::Strict, &ScanAll).1;
+                assert_eq!(tried, unsliced.candidates_tried, "of={of}");
+            }
+        }
     }
 
     #[test]

@@ -28,14 +28,6 @@ use std::sync::{mpsc, Arc};
 use std::time::Instant;
 use threadpool::ThreadPool;
 
-/// Rounds whose delta carries at most this many new marks (see
-/// [`Delta::new_marks`]) run on the engine thread even when a worker pool
-/// exists, under [`Parallelism::Auto`]: with so few new binding seeds the
-/// fan-out's per-unit dispatch overhead exceeds the matching work it
-/// would spread. Naive rounds and first iterations match an all-`New`
-/// delta (`new_marks == u64::MAX`) and are never skipped.
-pub const SMALL_DELTA_FANOUT_THRESHOLD: u64 = 4;
-
 /// Registry instruments shared by every engine in the process: one
 /// `engine.rounds` tick and one `engine.match_ns` / `engine.merge_ns`
 /// observation per fixpoint round (resolved once — the per-round cost is
@@ -103,19 +95,17 @@ pub enum Strategy {
 /// any [`Strategy`] and [`ClosureMode`], the parallel engine produces the
 /// same fixpoint (down to interned `NodeId` identity) and the same trace
 /// as sequential evaluation. [`Engine::new`] starts from
-/// [`Parallelism::Auto`] (size the pool to the machine); choose another
-/// degree with [`Engine::parallelism`].
+/// [`Parallelism::Sequential`]: a parallel run builds its worker pool per
+/// call, which costs more than it spreads on closures shorter than about a
+/// second. Choose threads with [`Engine::parallelism`] or
+/// [`Engine::threads`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Parallelism {
-    /// Apply rules one after another on the calling thread.
-    Sequential,
-    /// Resolve the worker count from the machine at run start:
-    /// [`std::thread::available_parallelism`] workers (so a 1-core host
-    /// degrades to sequential evaluation with no pool at all). This is
-    /// the adaptive default.
+    /// Apply rules one after another on the calling thread. The default.
     #[default]
-    Auto,
-    /// Fan rule × partition work units across this many worker threads.
+    Sequential,
+    /// Fan rule × partition work units across a pool of this many worker
+    /// threads, built at the start of each run and joined at its end.
     /// `Threads(0)` and `Threads(1)` behave like `Sequential`.
     Threads(usize),
 }
@@ -161,17 +151,10 @@ impl GcCadence {
 }
 
 impl Parallelism {
-    /// Effective worker count: 1 for sequential execution; for [`Auto`],
-    /// whatever [`std::thread::available_parallelism`] reports (1 when
-    /// even that is unknowable).
-    ///
-    /// [`Auto`]: Parallelism::Auto
+    /// Effective worker count: 1 for sequential execution.
     fn worker_count(self) -> usize {
         match self {
             Parallelism::Sequential => 1,
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
             Parallelism::Threads(n) => n.max(1),
         }
     }
@@ -232,7 +215,7 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine with the default configuration: semi-naive,
     /// inflationary, strict matching, indexes on, default guard, no trace,
-    /// [`Parallelism::Auto`], [`GcCadence::Off`].
+    /// [`Parallelism::Sequential`], [`GcCadence::Off`].
     pub fn new(program: Program) -> Engine {
         Engine {
             program,
@@ -279,7 +262,8 @@ impl Engine {
         self
     }
 
-    /// Selects the degree of parallelism for rule application.
+    /// Selects the degree of parallelism for rule application (the
+    /// default is [`Parallelism::Sequential`]).
     ///
     /// ```
     /// use co_engine::{Engine, Parallelism};
@@ -483,35 +467,15 @@ impl Engine {
                         (Strategy::SemiNaive, Some(d)) => d,
                         _ => &all_new,
                     };
-                    // Under the adaptive default, a round whose delta
-                    // carries only a handful of new marks (the long tail
-                    // of a converging fixpoint) is cheaper to run on this
-                    // thread than to fan out: dispatch is a boxed closure
-                    // plus a channel round-trip per work unit either way.
-                    // Sequential and parallel rounds are bit-identical,
-                    // so this is purely an execution choice.
-                    if self.parallelism == Parallelism::Auto
-                        && round_delta.new_marks() <= SMALL_DELTA_FANOUT_THRESHOLD
-                    {
-                        stats.fanout_skipped_rounds += 1;
-                        self.sequential_round(
-                            strategy,
-                            &current,
-                            delta.as_deref(),
-                            prefilter.as_ref(),
-                            &mut stats,
-                        )
-                    } else {
-                        self.parallel_round(
-                            pool,
-                            program,
-                            parts_per_rule,
-                            &current,
-                            round_delta,
-                            &prefilter,
-                            &mut stats,
-                        )
-                    }
+                    self.parallel_round(
+                        pool,
+                        program,
+                        parts_per_rule,
+                        &current,
+                        round_delta,
+                        &prefilter,
+                        &mut stats,
+                    )
                 }
                 None => self.sequential_round(
                     strategy,
@@ -788,50 +752,6 @@ mod tests {
 
     fn expected_descendants() -> Object {
         obj!({abraham, isaac, esau, jacob, joseph, judah})
-    }
-
-    #[test]
-    fn auto_skips_fanout_on_tiny_delta_rounds() {
-        let db = genealogy_db();
-        let sequential = Engine::new(descendants_program())
-            .parallelism(Parallelism::Sequential)
-            .run(&db)
-            .unwrap();
-        let auto = Engine::new(descendants_program())
-            .parallelism(Parallelism::Auto)
-            .run(&db)
-            .unwrap();
-        // The skip is an execution choice only: bit-identical fixpoint.
-        assert_eq!(auto.database, sequential.database);
-        assert_eq!(auto.database.node_id(), sequential.database.node_id());
-        let multi_core = std::thread::available_parallelism()
-            .map(|n| n.get() >= 2)
-            .unwrap_or(false);
-        if multi_core {
-            // The genealogy fixpoint's late rounds derive a handful of
-            // descendants each — they must stay on the engine thread.
-            assert!(
-                auto.stats.fanout_skipped_rounds >= 1,
-                "expected tiny-delta rounds to skip fan-out: {}",
-                auto.stats
-            );
-            // Never-skipped configurations: explicit thread counts...
-            let threads = Engine::new(descendants_program())
-                .parallelism(Parallelism::Threads(4))
-                .run(&db)
-                .unwrap();
-            assert_eq!(threads.stats.fanout_skipped_rounds, 0);
-            // ...and naive rounds (always an all-New delta).
-            let naive = Engine::new(descendants_program())
-                .parallelism(Parallelism::Auto)
-                .strategy(Strategy::Naive)
-                .run(&db)
-                .unwrap();
-            assert_eq!(naive.stats.fanout_skipped_rounds, 0);
-        } else {
-            // No pool on a single-core host: nothing to skip.
-            assert_eq!(auto.stats.fanout_skipped_rounds, 0);
-        }
     }
 
     #[test]

@@ -39,9 +39,7 @@ mod trace;
 
 pub use checkpoint::{CheckpointError, CheckpointHandle, Restored};
 pub use co_calculus::{ClosureMode, MatchPolicy};
-pub use engine::{
-    Engine, GcCadence, Parallelism, RunOutcome, Strategy, SMALL_DELTA_FANOUT_THRESHOLD,
-};
+pub use engine::{Engine, GcCadence, Parallelism, RunOutcome, Strategy};
 pub use error::EngineError;
 pub use guard::Guard;
 pub use shared::{AdvanceOutcome, PinnedDb, SharedEngine};

@@ -23,10 +23,6 @@ pub struct EvalStats {
     pub gc_sweeps: u64,
     /// Interned nodes those collections freed.
     pub gc_freed_nodes: u64,
-    /// Rounds where `Parallelism::Auto` skipped the thread-pool fan-out
-    /// because the delta carried too few new marks to pay for dispatch
-    /// (see `Engine::run`).
-    pub fanout_skipped_rounds: u64,
     /// Database size (nodes) after each iteration.
     pub sizes: Vec<u64>,
     /// Wall-clock duration of the run.
@@ -59,13 +55,6 @@ impl fmt::Display for EvalStats {
                 f,
                 ", {} gc sweeps freeing {} nodes",
                 self.gc_sweeps, self.gc_freed_nodes
-            )?;
-        }
-        if self.fanout_skipped_rounds > 0 {
-            write!(
-                f,
-                ", {} tiny-delta rounds kept sequential",
-                self.fanout_skipped_rounds
             )?;
         }
         Ok(())
